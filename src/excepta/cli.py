@@ -11,18 +11,16 @@ golden files for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import lattice as lat
-from . import models, retrieval, symmetry, topology, tracer
+from . import models, symmetry, topology, tracer
 from . import qep
 from .numkernel import ConvergenceError, SingularMatrixError
 
@@ -86,15 +84,6 @@ def _dump_json(obj) -> str:
     return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, (float, np.floating)) else v for v in row])
-    path.write_text(buf.getvalue())
-
-
 def _require(cfg: dict, key: str, kind=None):
     if key not in cfg:
         raise ConfigError(f"missing required field '{key}'")
@@ -110,44 +99,18 @@ def _check_keys(cfg: dict, allowed: set, where: str = "config"):
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {where}")
 
 
-MODEL_FIELDS = {
-    "theoretical": {"m0", "kbar", "dchi", "gamma", "chi", "kappa"},
-    "experimental": {"m0", "kappa0", "gamma0", "dchi", "gamma", "chi", "kappa"},
-    "lattice": {"m", "kappa0", "kappa1", "kappa2", "chi", "dchi", "gamma", "kx", "ky", "kz"},
-}
-
-
 def parse_model(spec: dict):
     _check_keys(spec, {"model", "params"}, "model spec")
     name = _require(spec, "model", str)
-    if name not in MODEL_FIELDS:
-        raise ConfigError(f"field 'model' must be one of {sorted(MODEL_FIELDS)}")
+    if name not in models.MODELS:
+        raise ConfigError(f"field 'model' must be one of {sorted(models.MODELS)}")
+    cls = models.MODELS[name].params
     params = spec.get("params", {})
-    _check_keys(params, MODEL_FIELDS[name], f"'{name}' params")
+    _check_keys(params, {f.name for f in dataclasses.fields(cls)}, f"'{name}' params")
     try:
-        if name == "theoretical":
-            return name, models.TheoreticalParams(**params)
-        if name == "experimental":
-            return name, models.ExperimentalParams(**params)
-        return name, models.LatticeParams(**params)
+        return name, cls(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model params: {exc}") from exc
-
-
-def model_builder(name: str, params):
-    if name == "theoretical":
-        return lambda g: models.theoretical_qmp(params.at(g))
-    if name == "experimental":
-        return lambda g: models.experimental_qmp(params.at(g))
-    return lambda k: models.lattice_bloch_qmp(params.at(k))
-
-
-def model_qmp(name: str, params):
-    if name == "theoretical":
-        return models.theoretical_qmp(params)
-    if name == "experimental":
-        return models.experimental_qmp(params)
-    return models.lattice_bloch_qmp(params)
 
 
 def parse_path(spec: dict) -> topology.ParameterPath:
@@ -204,6 +167,15 @@ def parse_plane(spec, params) -> tracer.PlaneSpec:
     )
 
 
+def parse_window(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    window = _require(cfg, "window", dict)
+    _check_keys(window, {"lo", "hi"}, "window spec")
+    return (
+        np.asarray(_require(window, "lo", list), dtype=float),
+        np.asarray(_require(window, "hi", list), dtype=float),
+    )
+
+
 def _omega_list(ws) -> list:
     return [[_fmt(w.real), _fmt(w.imag)] for w in ws]
 
@@ -211,7 +183,7 @@ def _omega_list(ws) -> list:
 def cmd_solve(cfg, out_dir, seed, jobs):
     _check_keys(cfg, {"command", "model", "output"}, "solve config")
     name, params = parse_model(_require(cfg, "model", dict))
-    spectrum = qep.solve(model_qmp(name, params))
+    spectrum = qep.solve(models.MODELS[name].qmp(params))
     result = {
         "omegas": _omega_list(spectrum.omegas),
         "pf_gap_ok": spectrum.pf_gap_ok,
@@ -234,7 +206,7 @@ def cmd_sweep(cfg, out_dir, seed, jobs):
     n = int(ramp.get("n", 101))
     values = np.linspace(float(_require(ramp, "from", (int, float))), float(_require(ramp, "to", (int, float))), max(n, 1))
     base = params.g
-    build = model_builder(name, params)
+    build = models.builder(params)
     # Sweeps may cross exceptional points (band merging is the interesting
     # feature), so continuation is lenient: per-sample assignment matching
     # without the EP-refusing adaptive refinement used for loop invariants.
@@ -246,24 +218,17 @@ def cmd_sweep(cfg, out_dir, seed, jobs):
         pf = qep.pf_bands(qep.solve(build(g)))
         w = np.array([p.omega for p in pf])
         if prev is not None:
-            cost = np.abs(prev[:, None] - w[None, :]) ** 2
-            _, cols = linear_sum_assignment(cost)
-            w = w[cols]
+            w = w[topology.match_bands(prev, w)]
         prev = w
         rows.append([v] + [x for wi in w for x in (wi.real, wi.imag)])
-    header = ["param", "re_w1", "im_w1", "re_w2", "im_w2"]
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" for v in row])
-    return {"rows": len(rows)}, [(cfg["output"] + ".csv", text.getvalue())]
+    text = qep.csv_text(["param", "re_w1", "im_w1", "re_w2", "im_w2"], rows)
+    return {"rows": len(rows)}, [(cfg["output"] + ".csv", text)]
 
 
 def cmd_vorticity(cfg, out_dir, seed, jobs):
     _check_keys(cfg, {"command", "model", "loop", "loops", "bands", "output"}, "vorticity config")
     name, params = parse_model(_require(cfg, "model", dict))
-    build = model_builder(name, params)
+    build = models.builder(params)
     bands = cfg.get("bands", [0, 1])
     if "loops" in cfg:
         loop_specs = _require(cfg, "loops", list)
@@ -303,7 +268,7 @@ def cmd_arc(cfg, out_dir, seed, jobs):
         float(_require(spec, "bulge", (int, float))),
         int(spec.get("n", 64)),
     )
-    val = topology.arc_invariant(model_builder(name, params), path)
+    val = topology.arc_invariant(models.builder(params), path)
     result = {"d_plus": _fmt(val)}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
@@ -319,28 +284,20 @@ def _line_payload(line: tracer.ExceptionalLine) -> dict:
 
 
 def _line_csv(lines) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["edge", "vertex", "x0", "x1", "x2"])
-    for e, line in enumerate(lines):
-        for i, p in enumerate(line.polyline):
-            writer.writerow([e, i] + [f"{c:.12g}" for c in p])
-    return buf.getvalue()
+    rows = ([e, i, *p] for e, line in enumerate(lines) for i, p in enumerate(line.polyline))
+    return qep.csv_text(["edge", "vertex", "x0", "x1", "x2"], rows)
 
 
 def cmd_trace(cfg, out_dir, seed, jobs):
     _check_keys(cfg, {"command", "model", "plane", "seed_point", "step", "window", "output"}, "trace config")
     name, params = parse_model(_require(cfg, "model", dict))
-    build = model_builder(name, params)
+    build = models.builder(params)
     plane = parse_plane(cfg.get("plane"), params) if cfg.get("plane") else None
-    window = _require(cfg, "window", dict)
-    _check_keys(window, {"lo", "hi"}, "window spec")
-    win = (np.asarray(window["lo"], dtype=float), np.asarray(window["hi"], dtype=float))
     line = tracer.trace_el(
         build,
         np.asarray(_require(cfg, "seed_point", list), dtype=float),
         float(_require(cfg, "step", (int, float))),
-        win,
+        parse_window(cfg),
         plane=plane,
     )
     payload = _line_payload(line)
@@ -357,22 +314,26 @@ def cmd_chain(cfg, out_dir, seed, jobs):
         "chain config",
     )
     name, params = parse_model(_require(cfg, "model", dict))
-    build = model_builder(name, params)
-    window = _require(cfg, "window", dict)
-    win = (np.asarray(window["lo"], dtype=float), np.asarray(window["hi"], dtype=float))
+    build = models.builder(params)
+    win = parse_window(cfg)
     step = float(_require(cfg, "step", (int, float)))
+    traces = _require(cfg, "traces", list)
+    if not traces:
+        raise ConfigError("field 'traces' must not be empty")
     lines = []
-    for entry in _require(cfg, "traces", list):
+    for entry in traces:
         _check_keys(entry, {"plane", "seed_point"}, "trace entry")
         plane = parse_plane(entry.get("plane"), params) if entry.get("plane") else None
-        lines.append(
-            tracer.trace_el(build, np.asarray(entry["seed_point"], dtype=float), step, win, plane=plane)
-        )
+        seed_point = np.asarray(_require(entry, "seed_point", list), dtype=float)
+        lines.append(tracer.trace_el(build, seed_point, step, win, plane=plane))
     refine_line = None
     if "refine_line" in cfg:
-        rl = cfg["refine_line"]
+        rl = _require(cfg, "refine_line", dict)
         _check_keys(rl, {"origin", "direction"}, "refine_line spec")
-        refine_line = (np.asarray(rl["origin"], dtype=float), np.asarray(rl["direction"], dtype=float))
+        refine_line = (
+            np.asarray(_require(rl, "origin", list), dtype=float),
+            np.asarray(_require(rl, "direction", list), dtype=float),
+        )
     graph = tracer.assemble_chain(
         build,
         lines,
@@ -406,7 +367,7 @@ def cmd_chain(cfg, out_dir, seed, jobs):
 def cmd_surface_audit(cfg, out_dir, seed, jobs):
     _check_keys(cfg, {"command", "model", "surface", "punctures", "loop_radius", "output"}, "surface-audit config")
     name, params = parse_model(_require(cfg, "model", dict))
-    build = model_builder(name, params)
+    build = models.builder(params)
     spec = _require(cfg, "surface", dict)
     kinds = {"box", "sphere"} & set(spec)
     if len(kinds) != 1:
@@ -415,11 +376,16 @@ def cmd_surface_audit(cfg, out_dir, seed, jobs):
     body = spec[kind]
     if kind == "box":
         _check_keys(body, {"lo", "hi", "n_per_edge"}, "box spec")
-        surface = topology.box_surface(body["lo"], body["hi"], int(body.get("n_per_edge", 8)))
+        surface = topology.box_surface(
+            _require(body, "lo", list), _require(body, "hi", list), int(body.get("n_per_edge", 8))
+        )
     else:
         _check_keys(body, {"center", "radius", "n_theta", "n_phi"}, "sphere spec")
         surface = topology.sphere_surface(
-            body["center"], float(body["radius"]), int(body.get("n_theta", 8)), int(body.get("n_phi", 16))
+            _require(body, "center", list),
+            float(_require(body, "radius", (int, float))),
+            int(body.get("n_theta", 8)),
+            int(body.get("n_phi", 16)),
         )
     punctures = cfg.get("punctures", [])
     radius = cfg.get("loop_radius")
@@ -436,7 +402,10 @@ def cmd_symmetry_check(cfg, out_dir, seed, jobs):
     rel_name = _require(cfg, "relation", str)
     gamma0 = getattr(params, "gamma0", 0.0)
     m0 = getattr(params, "m0", getattr(params, "m", 1.0))
-    rel = symmetry.builtin_relation(rel_name, gamma0=gamma0, m0=m0)
+    try:
+        rel = symmetry.builtin_relation(rel_name, gamma0=gamma0, m0=m0)
+    except KeyError as exc:
+        raise ConfigError(f"field 'relation': {exc.args[0]}") from exc
     n = int(cfg.get("n_samples", 100))
     scale = float(cfg.get("scale", 0.3))
     rng = np.random.default_rng(int(cfg.get("seed", seed)))
@@ -452,7 +421,7 @@ def cmd_symmetry_check(cfg, out_dir, seed, jobs):
             elif rel_name == "kappa-sub":
                 g[2] = gamma0 * g[0] / (2.0 * m0)
         samples.append((omega, g))
-    res = symmetry.relation_residual(model_builder(name, params), rel, samples)
+    res = symmetry.relation_residual(models.builder(params), rel, samples)
     payload = {"relation": rel_name, "residual": _fmt(res), "n_samples": n}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
@@ -489,7 +458,7 @@ def cmd_effective(cfg, out_dir, seed, jobs):
     name, params = parse_model(_require(cfg, "model", dict))
     if name == "lattice":
         raise ConfigError("field 'model': effective reduction supports the synthetic-dimension models")
-    q = model_qmp(name, params)
+    q = models.MODELS[name].qmp(params)
     eff = models.effective_two_band(q, cfg.get("omega0"))
     spectrum = qep.solve(q)
     pf = qep.pf_bands(spectrum)
@@ -522,13 +491,9 @@ def cmd_lattice_bands(cfg, out_dir, seed, jobs):
         for j, kz in enumerate(field.kz):
             w = field.omegas[i, j]
             rows.append([kx, kz, w[0].real, w[0].imag, w[1].real, w[1].imag])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kx", "kz", "re_w1", "im_w1", "re_w2", "im_w2"])
-    for row in rows:
-        writer.writerow([f"{v:.12g}" for v in row])
+    text = qep.csv_text(["kx", "kz", "re_w1", "im_w1", "re_w2", "im_w2"], rows)
     return {"ky": _fmt(ky), "n_rows": len(rows), "bad_cells": len(field.bad_cells)}, [
-        (cfg["output"] + ".csv", buf.getvalue())
+        (cfg["output"] + ".csv", text)
     ]
 
 
@@ -566,14 +531,10 @@ def cmd_wavepacket(cfg, out_dir, seed, jobs):
             rows.append(
                 [f.t, band, m.centroid_z, m.log_amplitude, m.width_x, m.width_z, m.aspect, int(f.boundary_contaminated)]
             )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "band", "centroid_z", "log_amplitude", "width_x", "width_z", "aspect", "boundary_flag"])
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    header = ["t", "band", "centroid_z", "log_amplitude", "width_x", "width_z", "aspect", "boundary_flag"]
     g1, g2 = lat.max_growth_rates(params, spec)
     payload = {"n_times": len(times), "max_growth": [_fmt(g1), _fmt(g2)]}
-    files = [(cfg["output"] + ".csv", buf.getvalue())]
+    files = [(cfg["output"] + ".csv", qep.csv_text(header, rows))]
     if cfg.get("dump_fields"):
         for f in fields:
             files.append((f"{cfg['output']}_field_t{f.t:g}.csv", lat.field_to_csv(f)))
@@ -581,6 +542,8 @@ def cmd_wavepacket(cfg, out_dir, seed, jobs):
 
 
 def cmd_synth(cfg, out_dir, seed, jobs):
+    from . import retrieval
+
     _check_keys(cfg, {"command", "params", "freqs", "noise", "seed", "output"}, "synth config")
     params = _require(cfg, "params", dict)
     _check_keys(params, set(retrieval.PARAM_NAMES), "synth params")
@@ -597,6 +560,8 @@ def cmd_synth(cfg, out_dir, seed, jobs):
 
 
 def cmd_fit(cfg, out_dir, seed, jobs):
+    from . import retrieval
+
     _check_keys(
         cfg, {"command", "data", "free", "bounds", "fixed", "starts", "seed", "output"}, "fit config"
     )

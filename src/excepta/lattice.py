@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .models import LatticeParams, lattice_bloch_qmp
-from .qep import pf_bands, solve
-from .topology import pf_discriminant
+from .models import LatticeParams, builder, lattice_bloch_qmp
+from .qep import csv_text, pf_bands, solve
+from .topology import match_bands
+from .tracer import newton_on_line
 
 
 class ChainPointError(ValueError):
@@ -87,30 +87,19 @@ def band_slice(
     vectors = np.zeros((nx, nz, 2, 2), dtype=complex)
     bad: list[tuple[int, int]] = []
 
-    def solve_node(i, j):
-        pairs = _pf_pairs_at(p, (kxs[i], ky, kzs[j]))
-        w = np.array([q.omega for q in pairs])
-        v = np.array([q.right for q in pairs])
-        return w, v
-
-    def match(ref_w, w, v):
-        cost = np.abs(ref_w[:, None] - w[None, :]) ** 2
-        _, cols = linear_sum_assignment(cost)
-        # Band identity is genuinely ambiguous only where the bands nearly
-        # coalesce (an exceptional-line puncture of the slice).
-        ambiguous = abs(w[cols[0]] - w[cols[1]]) < 1e-6 * max(1.0, np.abs(w).max())
-        return w[cols], v[cols], ambiguous
-
     for i in range(nx):
         for j in range(nz):
-            w, v = solve_node(i, j)
+            pairs = _pf_pairs_at(p, (kxs[i], ky, kzs[j]))
+            w = np.array([q.omega for q in pairs])
+            v = np.array([q.right for q in pairs])
             if i == 0 and j == 0:
                 omegas[0, 0], vectors[0, 0] = w, v
                 continue
-            ref = omegas[i, j - 1] if j > 0 else omegas[i - 1, j]
-            w, v, ambiguous = match(ref, w, v)
-            omegas[i, j], vectors[i, j] = w, v
-            if ambiguous:
+            cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
+            omegas[i, j], vectors[i, j] = w[cols], v[cols]
+            # Band identity is genuinely ambiguous only where the bands nearly
+            # coalesce (an exceptional-line puncture of the slice).
+            if abs(w[cols[0]] - w[cols[1]]) < 1e-6 * max(1.0, np.abs(w).max()):
                 bad.append((i, j))
     return BandField(
         kx=kxs, kz=kzs, ky=ky, omegas=omegas, vectors=vectors, bad_cells=tuple(bad)
@@ -144,20 +133,7 @@ def crossing_slopes(p: LatticeParams, center, axis: str, half_range: float, n: i
 
 def refine_chain_point_on_axis(p: LatticeParams, ky0: float, tol: float = 1e-12) -> float:
     """1D Newton zero of the (real) PF discriminant along the ky axis."""
-    ky = float(ky0)
-    for _ in range(60):
-        val = pf_discriminant(solve(lattice_bloch_qmp(p.at((0.0, ky, 0.0))))).real
-        h = 1e-7
-        vp = pf_discriminant(solve(lattice_bloch_qmp(p.at((0.0, ky + h, 0.0))))).real
-        vm = pf_discriminant(solve(lattice_bloch_qmp(p.at((0.0, ky - h, 0.0))))).real
-        slope = (vp - vm) / (2.0 * h)
-        if slope == 0:
-            break
-        step = -val / slope
-        ky += step
-        if abs(step) < tol:
-            break
-    return ky
+    return float(newton_on_line(builder(p), np.zeros(3), (0.0, 1.0, 0.0), ky0, tol)[1])
 
 
 @dataclass(frozen=True)
@@ -317,22 +293,13 @@ def max_growth_rates(p: LatticeParams, spec: WavepacketSpec, ky: float | None = 
 
 def field_to_csv(w: WaveField) -> str:
     """Plain-text dump: x, z, then Re/Im of the 4 field components per site."""
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["x", "z"]
-        + [f"{p}_{c}" for c in ("uA", "uB", "vA", "vB") for p in ("re", "im")]
+    header = ["x", "z"] + [f"{p}_{c}" for c in ("uA", "uB", "vA", "vB") for p in ("re", "im")]
+    rows = (
+        [float(x), float(z)] + [part for u in w.total[:, i, j] for part in (u.real, u.imag)]
+        for i, x in enumerate(w.x)
+        for j, z in enumerate(w.z)
     )
-    for i, x in enumerate(w.x):
-        for j, z in enumerate(w.z):
-            vals = []
-            for c in range(4):
-                vals.extend([w.total[c, i, j].real, w.total[c, i, j].imag])
-            writer.writerow([f"{v:.12g}" for v in [float(x), float(z)] + vals])
-    return buf.getvalue()
+    return csv_text(header, rows)
 
 
 def pulse_metrics(w: WaveField, band: int) -> PulseMetrics:

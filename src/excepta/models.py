@@ -14,6 +14,7 @@ quasi-degenerate two-band reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -218,33 +219,40 @@ def perturb_damping(q: QuadraticMatrixPolynomial, delta_g) -> QuadraticMatrixPol
     )
 
 
+class Model(NamedTuple):
+    params: type
+    qmp: Callable
+
+
+# name -> (parameter dataclass, QMP constructor); the dataclass fields are
+# the model's config fields.
+MODELS = {
+    "theoretical": Model(TheoreticalParams, theoretical_qmp),
+    "experimental": Model(ExperimentalParams, experimental_qmp),
+    "lattice": Model(LatticeParams, lattice_bloch_qmp),
+}
+
+
+def builder(params):
+    """point -> QMP closure at the fixed (non-point) fields of params.
+
+    The point is g = (gamma, chi, kappa) for the synthetic-dimension models
+    and the wavevector k for the lattice.
+    """
+    qmp = next(m.qmp for m in MODELS.values() if type(params) is m.params)
+    return lambda point: qmp(params.at(point))
+
+
 def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
     """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries."""
-    base = TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi)
-
-    def build(g):
-        q = theoretical_qmp(base.at(g))
-        return q if delta_k is None else perturb_stiffness(q, delta_k)
-
-    return build
+    build = builder(TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi))
+    if delta_k is None:
+        return build
+    return lambda g: perturb_stiffness(build(g), delta_k)
 
 
 def experimental_builder(m0=1.0, kappa0=1.0, gamma0=0.085, dchi=-0.073):
-    base = ExperimentalParams(m0=m0, kappa0=kappa0, gamma0=gamma0, dchi=dchi)
-
-    def build(g):
-        return experimental_qmp(base.at(g))
-
-    return build
-
-
-def lattice_builder(p: LatticeParams):
-    """k -> QMP closure at the non-k parameters of p."""
-
-    def build(k):
-        return lattice_bloch_qmp(p.at(k))
-
-    return build
+    return builder(ExperimentalParams(m0=m0, kappa0=kappa0, gamma0=gamma0, dchi=dchi))
 
 
 def geometry_to_stiffness(geo: Geometry) -> tuple[float, float, float]:

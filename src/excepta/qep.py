@@ -7,6 +7,8 @@ pairing (w, -w*); only the positive-real-frequency half is observable.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -265,6 +267,16 @@ def pf_bands(spectrum: Spectrum) -> list[EigenPair]:
         raise SpectralGapError("no real line gap at Re(w) = 0")
     pf = [p for p in spectrum.pairs if p.omega.real > 0]
     return sorted(pf, key=lambda p: (p.omega.real, p.omega.imag))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text (comma, LF): floats with 12 significant digits, other values verbatim."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, (float, np.floating)) else v for v in row])
+    return buf.getvalue()
 
 
 def qmp_to_json(q: QuadraticMatrixPolynomial) -> dict:

@@ -18,6 +18,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .numkernel import ConvergenceError
+from .qep import csv_text
 
 PARAM_NAMES = ("kappa0", "gamma0", "chi", "dchi", "kappa", "gamma", "c")
 
@@ -244,13 +245,11 @@ def chi_parabola_fit(points, through_origin: bool = False) -> tuple[float, float
 
 def spectra_to_csv(spectra: ResponseSpectra) -> str:
     """CSV with header f,|t11|,|t12|,|t21|,|t22| (12 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["f", "|t11|", "|t12|", "|t21|", "|t22|"])
-    for i, f in enumerate(spectra.freqs):
-        row = [f] + [spectra.curves[m, n, i] for m in range(2) for n in range(2)]
-        writer.writerow([f"{v:.12g}" for v in row])
-    return buf.getvalue()
+    rows = (
+        [f] + [spectra.curves[m, n, i] for m in range(2) for n in range(2)]
+        for i, f in enumerate(spectra.freqs)
+    )
+    return csv_text(["f", "|t11|", "|t12|", "|t21|", "|t22|"], rows)
 
 
 def spectra_from_csv(text: str) -> ResponseSpectra:

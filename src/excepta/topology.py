@@ -52,11 +52,6 @@ class ParameterPath:
             raise ValueError("path needs at least 16 points")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def phis(self) -> np.ndarray:
-        n = len(self.points) + (1 if self.closed else 0)
-        return np.linspace(0.0, 2.0 * np.pi, n)
-
     def reversed(self) -> "ParameterPath":
         return ParameterPath(points=self.points[::-1].copy(), closed=self.closed)
 
@@ -143,11 +138,10 @@ def _band_frequencies(build, point, pf_only: bool) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def _match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Ordering of `new` minimizing sum |delta w|^2 against `prev`."""
+def match_bands(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Column order of `new` minimizing sum |delta w|^2 against `prev`."""
     cost = np.abs(prev[:, None] - new[None, :]) ** 2
-    _, cols = linear_sum_assignment(cost)
-    return new[cols]
+    return linear_sum_assignment(cost)[1]
 
 
 def _min_separation(w: np.ndarray) -> float:
@@ -177,13 +171,10 @@ def track_bands(build, path: ParameterPath, pf_only: bool = True) -> TrackedBand
         _extend_segment(build, out_points, out_omegas, np.asarray(target, float), pf_only, 0)
 
     omegas = np.array(out_omegas)
-    n_bands = omegas.shape[1]
     if path.closed:
-        start, finish = out_omegas[0], out_omegas[-1]
-        cost = np.abs(finish[:, None] - start[None, :]) ** 2
-        _, perm = linear_sum_assignment(cost)
+        perm = match_bands(omegas[-1], omegas[0])
     else:
-        perm = np.arange(n_bands)
+        perm = np.arange(omegas.shape[1])
     return TrackedBands(
         points=np.array(out_points), omegas=omegas, closed=path.closed, permutation=perm
     )
@@ -193,7 +184,8 @@ def _extend_segment(build, out_points, out_omegas, target, pf_only, depth):
     """Append `target` (and any needed midpoints) continuing the last sample."""
     prev_pt = out_points[-1]
     prev_w = out_omegas[-1]
-    new_w = _match(prev_w, _band_frequencies(build, target, pf_only))
+    new_w = _band_frequencies(build, target, pf_only)
+    new_w = new_w[match_bands(prev_w, new_w)]
     sep = min(_min_separation(prev_w), _min_separation(new_w))
     if sep < MIN_SEPARATION:
         raise TrackingError(

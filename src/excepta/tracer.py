@@ -471,7 +471,7 @@ def _closest_approach(a: np.ndarray, b: np.ndarray):
     return d[i, j], i, j
 
 
-def _newton_on_line(build, origin, direction, t0, tol=1e-12):
+def newton_on_line(build, origin, direction, t0, tol=1e-12):
     """1D Newton for the real discriminant zero along the symmetry line."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
@@ -566,7 +566,7 @@ def assemble_chain(
         refined = []
         for n in nodes:
             t0 = float(np.dot(n - np.asarray(origin, dtype=float), direction))
-            refined.append(_newton_on_line(build, origin, direction, t0))
+            refined.append(newton_on_line(build, origin, direction, t0))
         nodes = refined
 
     # Split the edges at the nodes and snap the cut vertices.

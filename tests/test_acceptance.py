@@ -273,7 +273,7 @@ def test_criterion_9_lattice_chain_point_and_network():
     assert abs(ky - ky_num) < 1e-6
     assert ky == pytest.approx(1.2104, abs=2e-4)
 
-    build = models.lattice_builder(p)
+    build = models.builder(p)
     rng = np.random.default_rng(1)
     samples = [(complex(rng.normal(), rng.normal()), rng.uniform(-np.pi, np.pi, 3)) for _ in range(100)]
     worst_rel = 0.0

@@ -23,6 +23,30 @@ def config_command(path: Path) -> str:
     return json.loads(path.read_text())["command"]
 
 
+def edited_config(stem: str, edit) -> dict:
+    cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+    edit(cfg)
+    return cfg
+
+
+# Configs that must be rejected with exit 2 and a JSON diagnostic, each an
+# example config with one field removed or spoiled.
+BAD_CONFIGS = {
+    "chain_entry_without_seed_point": ("chain_theoretical", lambda c: c["traces"][0].pop("seed_point")),
+    "chain_window_without_lo": ("chain_theoretical", lambda c: c["window"].pop("lo")),
+    "chain_window_unknown_key": ("chain_theoretical", lambda c: c["window"].update(bogus=1)),
+    "chain_empty_traces": ("chain_theoretical", lambda c: c.update(traces=[])),
+    "chain_refine_line_without_origin": ("chain_theoretical", lambda c: c["refine_line"].pop("origin")),
+    "trace_window_without_lo": ("trace_er", lambda c: c["window"].pop("lo")),
+    "box_without_lo": ("surface_audit_box", lambda c: c["surface"]["box"].pop("lo")),
+    "sphere_without_radius": (
+        "surface_audit_box",
+        lambda c: c.update(surface={"sphere": {"center": [0.0, 0.0, 0.0]}}),
+    ),
+    "unknown_relation": ("symmetry_gamma", lambda c: c.update(relation="nope")),
+}
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         res = run_cli(["solve", "--config", str(CONFIGS / "solve_theoretical.json"), "--out", str(tmp_path)])
@@ -42,20 +66,31 @@ class TestExitCodes:
         err = json.loads(res.stderr)
         assert "model" in err["message"]
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("model", ["theoretical", "experimental", "lattice"])
+    def test_unknown_key_rejected(self, model, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(
             json.dumps(
                 {
                     "command": "solve",
-                    "model": {"model": "theoretical", "params": {"bogus": 1.0}},
+                    "model": {"model": model, "params": {"bogus": 1.0}},
                     "output": "x",
                 }
             )
         )
         res = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert res.returncode == 2
-        assert "bogus" in json.loads(res.stderr)["message"]
+        assert json.loads(res.stderr)["message"] == f"unknown field 'bogus' in '{model}' params"
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_invalid_config_exit_2(self, case, tmp_path):
+        stem, edit = BAD_CONFIGS[case]
+        cfg = edited_config(stem, edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli([cfg["command"], "--config", str(path), "--out", str(tmp_path)])
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == "config"
 
     def test_command_mismatch(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -92,6 +127,19 @@ class TestExitCodes:
         res = run_cli(["vorticity", "--config", str(cfg), "--out", str(tmp_path)])
         assert res.returncode == 3
         assert json.loads(res.stderr)["error"] == "TrackingError"
+
+
+class TestColdStart:
+    def test_cli_import_skips_scipy_stats(self):
+        # Only synth and fit need the retrieval module and its scipy.stats.
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, excepta.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestGoldenRoundTrip:

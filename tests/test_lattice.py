@@ -55,7 +55,7 @@ class TestBandSlice:
 
     def test_loop_around_chain_point_braids_twice(self):
         kcp = lattice.chain_point_coords(P)
-        build = models.lattice_builder(P)
+        build = models.builder(P)
         loop = topo.circle_path(kcp, normal=(0, 1, 0), radius=0.06, n=64)
         nu = topo.energy_vorticity(topo.track_bands(build, loop))
         assert abs(abs(nu) - 1.0) < 1e-3

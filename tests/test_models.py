@@ -107,7 +107,7 @@ class TestLattice:
 
     def test_crystalline_relations(self):
         p = models.LatticeParams()
-        build = models.lattice_builder(p)
+        build = models.builder(p)
         rng = np.random.default_rng(6)
         samples = [(complex(rng.normal(), rng.normal()), rng.uniform(-np.pi, np.pi, 3)) for _ in range(100)]
         for name in ("C2xT", "C2yT", "MzDagger"):
