@@ -215,8 +215,7 @@ def cmd_sweep(cfg, out_dir, seed, jobs):
     for v in values:
         g = base.copy()
         g[axis] = v
-        pf = qep.pf_bands(qep.solve(build(g)))
-        w = np.array([p.omega for p in pf])
+        w = qep.pf_omegas(qep.solve(build(g)))
         if prev is not None:
             w = w[topology.match_bands(prev, w)]
         prev = w
@@ -460,9 +459,8 @@ def cmd_effective(cfg, out_dir, seed, jobs):
         raise ConfigError("field 'model': effective reduction supports the synthetic-dimension models")
     q = models.MODELS[name].qmp(params)
     eff = models.effective_two_band(q, cfg.get("omega0"))
-    spectrum = qep.solve(q)
-    pf = qep.pf_bands(spectrum)
-    exact_split = pf[1].omega - pf[0].omega
+    pf = qep.pf_omegas(qep.solve(q))
+    exact_split = pf[1] - pf[0]
     shifts = eff.shifts
     payload = {
         "omega0": _fmt(eff.omega0),
@@ -569,11 +567,14 @@ def cmd_fit(cfg, out_dir, seed, jobs):
     if not data_path.exists():
         raise ConfigError(f"field 'data': file {data_path} does not exist")
     spectra = retrieval.spectra_from_csv(data_path.read_text())
-    model = retrieval.FitModel(
-        free=tuple(_require(cfg, "free", list)),
-        bounds={k: tuple(v) for k, v in _require(cfg, "bounds", dict).items()},
-        fixed={k: float(v) for k, v in cfg.get("fixed", {}).items()},
-    )
+    try:
+        model = retrieval.FitModel(
+            free=tuple(_require(cfg, "free", list)),
+            bounds={k: tuple(v) for k, v in _require(cfg, "bounds", dict).items()},
+            fixed={k: float(v) for k, v in cfg.get("fixed", {}).items()},
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid fit model: {exc}") from exc
     result = retrieval.fit_parameters(
         spectra, model, starts=int(cfg.get("starts", 16)), seed=int(cfg.get("seed", seed))
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LatticeParams, builder, lattice_bloch_qmp
-from .qep import csv_text, pf_bands, solve
+from .qep import csv_text, pf_bands, pf_omegas, solve
 from .topology import match_bands
 from .tracer import newton_on_line
 
@@ -61,10 +61,6 @@ class BandField:
     bad_cells: tuple[tuple[int, int], ...]
 
 
-def _pf_pairs_at(p: LatticeParams, k) -> list:
-    return pf_bands(solve(lattice_bloch_qmp(p.at(k))))
-
-
 def band_slice(
     p: LatticeParams,
     ky: float,
@@ -89,7 +85,7 @@ def band_slice(
 
     for i in range(nx):
         for j in range(nz):
-            pairs = _pf_pairs_at(p, (kxs[i], ky, kzs[j]))
+            pairs = pf_bands(solve(lattice_bloch_qmp(p.at((kxs[i], ky, kzs[j])))))
             w = np.array([q.omega for q in pairs])
             v = np.array([q.right for q in pairs])
             if i == 0 and j == 0:
@@ -121,7 +117,7 @@ def crossing_slopes(p: LatticeParams, center, axis: str, half_range: float, n: i
     for t in ts:
         k = center.copy()
         k[ax] += t
-        w = np.array([q.omega for q in _pf_pairs_at(p, k)])
+        w = pf_omegas(solve(lattice_bloch_qmp(p.at(k))))
         re_abs.append(abs((w[0] - w[1]).real))
         im_abs.append(abs((w[0] - w[1]).imag))
     tt = np.abs(ts)

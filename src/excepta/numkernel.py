@@ -137,26 +137,6 @@ def poly_roots(coeffs, tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
     )
 
 
-def char_poly(a) -> np.ndarray:
-    """Characteristic polynomial det(w I - A), ascending coefficients, monic.
-
-    Faddeev-LeVerrier recurrence; adequate at desk scale (dim <= 64).
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    aux = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        aux = m @ aux
-        ck = -np.trace(aux) / k
-        coeffs[n - k] = ck
-        aux = aux + ck * np.eye(n, dtype=complex)
-    return coeffs
-
-
 def nullspace(a, rtol: float = 1e-7, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Near-nullspace basis of A from its SVD.
 

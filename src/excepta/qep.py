@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numkernel as nk
 
@@ -81,20 +80,32 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All 2N eigenpairs of a QMP, sorted by (Re, Im) of the frequency.
+    """All 2N eigenfrequencies of a QMP, sorted by (Re, Im).
 
+    The eigenpairs and `ep_clusters` are computed from `qmp` once, on first
+    access, so frequency-only callers never pay for eigenvectors.
     `ep_clusters` lists index groups whose eigenvectors coalesced
     (near-defective: the exceptional-point signal); degenerate groups with
     orthogonal vectors are diabolic and not listed.
     """
 
-    pairs: tuple[EigenPair, ...]
+    omegas: np.ndarray
     pf_gap_ok: bool
-    ep_clusters: tuple[tuple[int, ...], ...] = ()
+    qmp: QuadraticMatrixPolynomial = field(repr=False)
+    _eigen: tuple | None = field(default=None, repr=False)
+
+    def _eigensystem(self) -> tuple:
+        if self._eigen is None:
+            object.__setattr__(self, "_eigen", _eigenpairs(self.qmp, self.omegas))
+        return self._eigen
 
     @property
-    def omegas(self) -> np.ndarray:
-        return np.array([p.omega for p in self.pairs])
+    def pairs(self) -> tuple[EigenPair, ...]:
+        return self._eigensystem()[0]
+
+    @property
+    def ep_clusters(self) -> tuple[tuple[int, ...], ...]:
+        return self._eigensystem()[1]
 
     @property
     def has_ep(self) -> bool:
@@ -113,59 +124,15 @@ def linearize(q: QuadraticMatrixPolynomial) -> np.ndarray:
     (psi, -i w psi).  For real M, K, G it satisfies H* = -H entrywise.
     """
     n = q.dim
-    mk = np.linalg.solve(q.mass, q.stiffness)
-    mg = np.linalg.solve(q.mass, q.damping)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, n:] = np.eye(n)
-    h[n:, :n] = -mk
-    h[n:, n:] = -mg
+    h[n:] = -np.linalg.solve(q.mass, np.hstack([q.stiffness, q.damping]))
     return 1j * h
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return out
-
-
-def _poly_det(entries: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a matrix of ascending-coefficient polynomials."""
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = np.zeros(1, dtype=complex)
-    for j in range(n):
-        minor = [[entries[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = np.convolve(entries[0][j], _poly_det(minor))
-        acc = _poly_add(acc, (-1.0) ** j * term)
-    return acc
-
-
-def det_poly(q: QuadraticMatrixPolynomial) -> np.ndarray:
-    """Ascending coefficients of det Q(w), a degree-2N polynomial.
-
-    Built by direct polynomial expansion for N <= 3; via the companion
-    form's characteristic polynomial (Faddeev-LeVerrier) above that.
-    """
-    n = q.dim
-    if n <= 3:
-        entries = [
-            [
-                np.array([-q.stiffness[i, j], 1j * q.damping[i, j], q.mass[i, j]])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return _poly_det(entries)
-    # det Q(w) = det(M) * det(wI - H) up to the (-1)^N convention; roots match.
-    return np.linalg.det(q.mass) * nk.char_poly(linearize(q))
 
 
 def _pf_gap_ok(omegas: np.ndarray) -> bool:
     # Relative gap test plus an absolute floor: a double root at the origin
-    # is only located to about sqrt(root_tol), so tinier real parts are
+    # is only located to about sqrt(machine epsilon), so tinier real parts are
     # indistinguishable from the axis (frequencies in natural units).
     top = np.abs(omegas).max()
     if top == 0.0:
@@ -174,18 +141,27 @@ def _pf_gap_ok(omegas: np.ndarray) -> bool:
     return bool(np.abs(omegas.real).min() > max(PF_GAP_RTOL * top, floor))
 
 
-def solve(q: QuadraticMatrixPolynomial, tol: float = 1e-9, root_tol: float = 1e-12) -> Spectrum:
-    """Full eigensolution of the QEP.
+def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
+    """Eigenfrequencies of the QEP from its companion linearization.
 
-    Frequencies are the roots of det Q(w); right vectors are unit-norm
-    gauge-fixed nullspace vectors of Q(w_n) from an SVD.  Root clusters
-    closer than EP_OMEGA_RTOL whose nullspace dimension falls short of the
-    multiplicity are flagged as exceptional when the extracted vectors
-    overlap above EP_OVERLAP (orthogonal vectors mean a diabolic point).
+    LAPACK's eigenvalues of `linearize(q)` are backward stable (Tisseur and
+    Meerbergen, SIAM Review 43, 2001); eigenvectors wait for first access
+    to `pairs` or `ep_clusters`.
     """
-    omegas = nk.poly_roots(det_poly(q), tol=root_tol)
-    order = np.lexsort((omegas.imag, omegas.real))
-    omegas = omegas[order]
+    omegas = np.linalg.eigvals(linearize(q))
+    omegas = omegas[np.lexsort((omegas.imag, omegas.real))]
+    return Spectrum(omegas=omegas, pf_gap_ok=_pf_gap_ok(omegas), qmp=q)
+
+
+def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
+    """(pairs, ep_clusters) for sorted eigenfrequencies of q.
+
+    Right vectors are unit-norm gauge-fixed nullspace vectors of Q(w_n) from
+    an SVD.  Clusters closer than EP_OMEGA_RTOL whose nullspace dimension
+    falls short of the multiplicity are flagged as exceptional when the
+    extracted vectors overlap above EP_OVERLAP (orthogonal vectors mean a
+    diabolic point).
+    """
     scale = max(1.0, np.abs(omegas).max())
     # Coefficient scale: Q(w) evaluated exactly at a degeneracy can be the
     # zero matrix (diabolic case), so the nullspace threshold must not be
@@ -219,11 +195,7 @@ def solve(q: QuadraticMatrixPolynomial, tol: float = 1e-9, root_tol: float = 1e-
         v0 = pairs[cluster[0]].right
         if all(abs(np.vdot(v0, pairs[i].right)) > EP_OVERLAP for i in cluster[1:]):
             confirmed.append(cluster)
-    return Spectrum(
-        pairs=tuple(pairs),
-        pf_gap_ok=_pf_gap_ok(omegas),
-        ep_clusters=tuple(confirmed),
-    )
+    return tuple(pairs), tuple(confirmed)
 
 
 def attach_left_vectors(q: QuadraticMatrixPolynomial, spectrum: Spectrum) -> Spectrum:
@@ -232,7 +204,7 @@ def attach_left_vectors(q: QuadraticMatrixPolynomial, spectrum: Spectrum) -> Spe
     for p in spectrum.pairs:
         basis, _ = nk.nullspace(evaluate(q, p.omega).conj().T)
         new_pairs.append(replace(p, left=nk.gauge_fix(basis[:, -1])))
-    return replace(spectrum, pairs=tuple(new_pairs))
+    return replace(spectrum, _eigen=(tuple(new_pairs), spectrum.ep_clusters))
 
 
 def greens(q: QuadraticMatrixPolynomial, omega: complex, rtol: float = 1e-10) -> np.ndarray:
@@ -254,6 +226,8 @@ def particle_hole_residual(spectrum: Spectrum) -> float:
 
     Zero (below 1e-9) for the spectrum of any real QMP.
     """
+    from scipy.optimize import linear_sum_assignment
+
     w = spectrum.omegas
     target = -w.conj()
     cost = np.abs(w[:, None] - target[None, :])
@@ -261,12 +235,18 @@ def particle_hole_residual(spectrum: Spectrum) -> float:
     return float(cost[rows, cols].max())
 
 
-def pf_bands(spectrum: Spectrum) -> list[EigenPair]:
-    """The positive-real-frequency half, sorted by Re(w) ascending."""
+def pf_omegas(spectrum: Spectrum) -> np.ndarray:
+    """The positive-real-frequency half of the eigenfrequencies, sorted by (Re, Im)."""
     if not spectrum.pf_gap_ok:
         raise SpectralGapError("no real line gap at Re(w) = 0")
-    pf = [p for p in spectrum.pairs if p.omega.real > 0]
-    return sorted(pf, key=lambda p: (p.omega.real, p.omega.imag))
+    return spectrum.omegas[spectrum.omegas.real > 0]
+
+
+def pf_bands(spectrum: Spectrum) -> list[EigenPair]:
+    """The positive-real-frequency eigenpairs, in the order of `pf_omegas`."""
+    if not spectrum.pf_gap_ok:
+        raise SpectralGapError("no real line gap at Re(w) = 0")
+    return [p for p in spectrum.pairs if p.omega.real > 0]
 
 
 def csv_text(header, rows) -> str:

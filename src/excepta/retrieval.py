@@ -101,6 +101,8 @@ class FitModel:
         for name in self.free:
             if name not in PARAM_NAMES:
                 raise ValueError(f"unknown parameter {name!r}")
+            if name not in self.bounds:
+                raise ValueError(f"free parameter {name!r} has no bounds")
             lo, hi = self.bounds[name]
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds for {name!r} must be finite with lo < hi")

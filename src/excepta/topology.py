@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .qep import Spectrum, pf_bands, solve
+from .qep import Spectrum, pf_omegas, solve
 
 QUANTIZATION_TOL = 1e-3
 JUMP_FRACTION = 0.1
@@ -132,14 +131,13 @@ class TrackedBands:
 
 def _band_frequencies(build, point, pf_only: bool) -> np.ndarray:
     spectrum = solve(build(point))
-    if pf_only:
-        return np.array([p.omega for p in pf_bands(spectrum)])
-    w = spectrum.omegas
-    return w[np.lexsort((w.imag, w.real))]
+    return pf_omegas(spectrum) if pf_only else spectrum.omegas
 
 
 def match_bands(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Column order of `new` minimizing sum |delta w|^2 against `prev`."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(prev[:, None] - new[None, :]) ** 2
     return linear_sum_assignment(cost)[1]
 
@@ -229,23 +227,12 @@ def energy_vorticity(tb: TrackedBands, m: int = 0, n: int = 1) -> float:
 
 def pf_discriminant(spectrum: Spectrum) -> complex:
     """Product of squared PF band differences (order-independent)."""
-    pf = pf_bands(spectrum)
-    w = np.array([p.omega for p in pf])
+    w = pf_omegas(spectrum)
     acc = 1.0 + 0.0j
     for i in range(len(w)):
         for j in range(i + 1, len(w)):
             acc *= (w[i] - w[j]) ** 2
     return complex(acc)
-
-
-def discriminant_tracked(tb: TrackedBands) -> np.ndarray:
-    """Discriminant values along a tracked path from continuous columns."""
-    n = tb.n_bands
-    acc = np.ones(len(tb.omegas), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc *= (tb.omegas[:, i] - tb.omegas[:, j]) ** 2
-    return acc
 
 
 def _pairwise_winding_sum(tb: TrackedBands) -> float:
@@ -296,12 +283,10 @@ def arc_invariant(build, arc: ParameterPath, endpoint_tol: float = 1e-10) -> flo
     for end in (arc.points[0], arc.points[-1]):
         if max(abs(end[0]), abs(end[2])) > 1e-9:
             raise ValueError("arc endpoints must lie on the gamma = kappa = 0 line")
-    tb = track_bands(build, arc, pf_only=True)
-    disc = discriminant_tracked(tb)
-    for label, val in (("start", disc[0]), ("end", disc[-1])):
-        if abs(val) < endpoint_tol:
+    for label, end in (("start", arc.points[0]), ("end", arc.points[-1])):
+        if abs(pf_discriminant(solve(build(end)))) < endpoint_tol:
             raise ValueError(f"arc {label}point is degenerate (|discriminant| < {endpoint_tol})")
-    return 2.0 * _pairwise_winding_sum(tb)
+    return 2.0 * _pairwise_winding_sum(track_bands(build, arc, pf_only=True))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ along the high-symmetry intersection line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import topology as topo
-from .qep import SpectralGapError, evaluate, pf_bands, solve
+from .qep import SpectralGapError, evaluate, pf_omegas, solve
 from .topology import circle_path, discriminant_number
 
 VERTEX_TOL = 1e-8
@@ -125,7 +125,7 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
             spectrum = solve(build(plane.point(a, b)))
             if not spectrum.pf_gap_ok:
                 continue  # gapless node: no PF statistics there
-            w = np.array([p.omega for p in pf_bands(spectrum)])
+            w = pf_omegas(spectrum)
             d = np.abs(w[:, None] - w[None, :])
             np.fill_diagonal(d, np.inf)
             sep[i, j] = d.min()
@@ -233,7 +233,9 @@ def refine_ep(
         if current < delta_tol:
             break
         f0, jac = _fd_jacobian(f, x)
-        step = -np.linalg.pinv(jac, rcond=1e-10) @ f0
+        # The cutoff sits above the central-difference noise floor (about
+        # eps / h_rel = 2e-10): a column that is zero by symmetry must stay zero.
+        step = -np.linalg.pinv(jac, rcond=1e-9) @ f0
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
             trial = x + damp * step
@@ -280,13 +282,12 @@ def _is_coalescent(build, point) -> bool:
     keeps a finite defect there.
     """
     q = build(np.asarray(point, dtype=float))
-    spectrum = solve(q)
-    pf = pf_bands(spectrum)
+    pf = pf_omegas(solve(q))
     pair = min(
         ((i, j) for i in range(len(pf)) for j in range(i + 1, len(pf))),
-        key=lambda ij: abs(pf[ij[0]].omega - pf[ij[1]].omega),
+        key=lambda ij: abs(pf[ij[0]] - pf[ij[1]]),
     )
-    wa, wb = pf[pair[0]].omega, pf[pair[1]].omega
+    wa, wb = pf[pair[0]], pf[pair[1]]
     center = 0.5 * (wa + wb)
     splitting = abs(wa - wb)
     qc = evaluate(q, center)
@@ -354,6 +355,25 @@ def probe_orientation(build, point, tangent, radius: float, n: int = 64) -> int:
     if rounded not in (-1, 1) or abs(val - rounded) > topo.QUANTIZATION_TOL:
         raise RefineError(f"probe loop PFDN {val} does not identify a single line")
     return rounded
+
+
+def _orient(build, line: ExceptionalLine, radius: float) -> ExceptionalLine:
+    """`line` oriented by the probe nearest its midpoint that isolates it.
+
+    A loop about a vertex next to a chain point also encloses the other
+    lines meeting there and reads PFDN 0, so the probe walks outwards from
+    the midpoint to the first vertex that gives +-1.
+    """
+    mid = line.midpoint_index
+    failure = None
+    for idx in sorted(range(len(line.polyline)), key=lambda i: (abs(i - mid), i)):
+        try:
+            sign = probe_orientation(build, line.polyline[idx], line.tangent_at(idx), radius=radius)
+        except RefineError as exc:
+            failure = failure or exc
+            continue
+        return replace(line, orientation=sign)
+    raise failure
 
 
 def _in_window(point, window) -> bool:
@@ -430,13 +450,7 @@ def trace_el(
         backward, _ = march(-1.0)
         polyline = np.array(backward[::-1] + forward[1:])
         line = ExceptionalLine(polyline=polyline, closed=False, plane_tag=plane.tag if plane else "free")
-    if orient:
-        idx = line.midpoint_index
-        sign = probe_orientation(build, line.polyline[idx], line.tangent_at(idx), radius=3.0 * step)
-        line = ExceptionalLine(
-            polyline=line.polyline, closed=line.closed, plane_tag=line.plane_tag, orientation=sign
-        )
-    return line
+    return _orient(build, line, 3.0 * step) if orient else line
 
 
 @dataclass(frozen=True)
@@ -536,13 +550,13 @@ def assemble_chain(
     Junction nodes come from closest approaches (and endpoint collisions)
     between distinct lines within `junction_tol`; optionally each node is
     re-refined along a given high-symmetry line (origin, direction).  Edges
-    are split at the nodes, re-oriented by midpoint probe loops, and each
-    node's in/out counts are compared; an unbalanced node flags the graph
-    invalid, which is the detection mechanism for broken symmetry.
+    are split at the nodes, re-oriented by probe loops near their midpoints,
+    and each node's in/out counts are compared; an unbalanced node flags the
+    graph invalid, which is the detection mechanism for broken symmetry.
     """
-    lines = sorted(
-        edges, key=lambda e: (e.plane_tag, tuple(np.round(e.polyline[0], 9)))
-    )
+    # Stable sorts on keys that solver noise cannot move: lines by plane tag
+    # (then input order), nodes by rounded position.
+    lines = sorted(edges, key=lambda e: e.plane_tag)
     # Collect junction candidate positions from pairwise closest approaches.
     candidates = []
     for a in range(len(lines)):
@@ -568,6 +582,7 @@ def assemble_chain(
             t0 = float(np.dot(n - np.asarray(origin, dtype=float), direction))
             refined.append(newton_on_line(build, origin, direction, t0))
         nodes = refined
+    nodes.sort(key=lambda n: tuple(np.round(n, 6)))
 
     # Split the edges at the nodes and snap the cut vertices.
     graph_edges: list[GraphEdge] = []
@@ -595,11 +610,7 @@ def assemble_chain(
                 closed=line.closed and start_node is None and end_node is None,
                 plane_tag=line.plane_tag,
             )
-            idx = sub.midpoint_index
-            sign = probe_orientation(build, sub.polyline[idx], sub.tangent_at(idx), radius=probe_radius)
-            sub = ExceptionalLine(
-                polyline=sub.polyline, closed=sub.closed, plane_tag=sub.plane_tag, orientation=sign
-            )
+            sub = _orient(build, sub, probe_radius)
             graph_edges.append(GraphEdge(line=sub, start_node=start_node, end_node=end_node))
 
     # Flux bookkeeping per node.

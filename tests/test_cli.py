@@ -44,6 +44,8 @@ BAD_CONFIGS = {
         lambda c: c.update(surface={"sphere": {"center": [0.0, 0.0, 0.0]}}),
     ),
     "unknown_relation": ("symmetry_gamma", lambda c: c.update(relation="nope")),
+    "fit_free_without_bounds": ("fit_demo", lambda c: c["bounds"].pop("c")),
+    "fit_unknown_free": ("fit_demo", lambda c: c.update(free=c["free"] + ["bogus"])),
 }
 
 
@@ -130,16 +132,24 @@ class TestExitCodes:
 
 
 class TestColdStart:
-    def test_cli_import_skips_scipy_stats(self):
-        # Only synth and fit need the retrieval module and its scipy.stats.
+    @staticmethod
+    def loaded_after_cli_import(module: str) -> str:
         res = subprocess.run(
-            [sys.executable, "-c", "import sys, excepta.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, excepta.cli; print({module!r} in sys.modules)"],
             capture_output=True,
             text=True,
             cwd=REPO,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        return res.stdout.strip()
+
+    def test_cli_import_skips_scipy_stats(self):
+        # Only synth and fit need the retrieval module and its scipy.stats.
+        assert self.loaded_after_cli_import("scipy.stats") == "False"
+
+    def test_cli_import_skips_scipy_optimize(self):
+        # Band matching and the particle-hole residual import it when called.
+        assert self.loaded_after_cli_import("scipy.optimize") == "False"
 
 
 class TestGoldenRoundTrip:

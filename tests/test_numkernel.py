@@ -131,18 +131,6 @@ class TestSolveLinear:
         assert err.value.rank == 1
 
 
-class TestCharPoly:
-    def test_known_diagonal(self):
-        # (w-1)(w-2) = 2 - 3w + w^2
-        assert np.allclose(nk.char_poly(np.diag([1.0, 2.0])), [2.0, -3.0, 1.0])
-
-    def test_roots_match_eigvals(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        roots = nk.poly_roots(nk.char_poly(m))
-        assert multimax(roots, np.linalg.eigvals(m)) < 1e-8
-
-
 class TestHelpers:
     def test_gauge_fix_first_component_real_positive(self):
         v = np.array([0.0, 1j, 1.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +100,7 @@ class TestLinearize:
 class TestSolve:
     def test_uncoupled_doubly_degenerate(self):
         s = qep.solve(uncoupled())
-        # Double roots are located to about sqrt(root_tol).
+        # Double roots are located to about sqrt(machine epsilon).
         assert multiset_distance(s.omegas, [1.0, 1.0, -1.0, -1.0]) < 5e-6
         assert s.ep_clusters == ()  # diabolic, not exceptional
 
@@ -139,6 +140,50 @@ class TestSolve:
         s = qep.attach_left_vectors(q, qep.solve(q))
         for p in s.pairs:
             assert np.linalg.norm(p.left.conj() @ q(p.omega)) < 1e-9
+
+
+def random_real_qmp(rng, n):
+    return QMP(
+        mass=np.diag(rng.uniform(0.5, 2, n)),
+        stiffness=rng.normal(size=(n, n)),
+        damping=0.4 * rng.normal(size=(n, n)),
+    )
+
+
+def pencil_eigvals(q):
+    """QZ eigenvalues of A x = w B x with x = (psi, w psi): no M^-1, no companion matrix."""
+    n = q.dim
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    a = np.block([[zero, eye], [q.stiffness, -1j * q.damping]])
+    b = np.block([[eye, zero], [zero, q.mass]])
+    return scipy.linalg.eigvals(a, b)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [2, 8, 24, 64])
+    def test_matches_pencil_up_to_dimension_cap(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            q = random_real_qmp(rng, n)
+            s = qep.solve(q)
+            ref = pencil_eigvals(q)
+            assert multiset_distance(s.omegas, ref) < 1e-9 * np.abs(ref).max()
+            assert qep.particle_hole_residual(s) < 1e-9
+
+    def test_sorted_by_real_then_imaginary(self):
+        w = qep.solve(random_real_qmp(np.random.default_rng(10), 8)).omegas
+        assert np.array_equal(w, w[np.lexsort((w.imag, w.real))])
+
+    def test_repeated_calls_bit_identical(self):
+        q = random_real_qmp(np.random.default_rng(11), 24)
+        a, b = qep.solve(q), qep.solve(q)
+        assert np.array_equal(a.omegas, b.omegas)
+        assert a.ep_clusters == b.ep_clusters
+        assert all(np.array_equal(x.right, y.right) for x, y in zip(a.pairs, b.pairs))
+
+    def test_pf_omegas_match_pf_bands(self):
+        s = qep.solve(theoretical_qmp(TheoreticalParams(gamma=0.2, chi=0.08, kappa=0.05)))
+        assert np.array_equal(qep.pf_omegas(s), [p.omega for p in qep.pf_bands(s)])
 
 
 class TestGreens:
@@ -221,6 +266,8 @@ class TestPfBands:
         assert not s.pf_gap_ok
         with pytest.raises(qep.SpectralGapError):
             qep.pf_bands(s)
+        with pytest.raises(qep.SpectralGapError):
+            qep.pf_omegas(s)
 
 
 class TestSerialization:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from excepta import models, qep, tracer
+from excepta import models, qep, topology, tracer
+from excepta import numkernel as nk
 from excepta.tracer import pf_delta
 
 WIN = (np.array([-0.3, -0.25, -0.2]), np.array([0.3, 0.3, 0.2]))
@@ -72,10 +73,14 @@ class TestRefineEP:
         build = models.experimental_builder(gamma0=g0, dchi=-0.073)
         plane = tracer.plane_oblique(g0)
         found = tracer.refine_ep(build, plane.point(0.02, 0.01), plane=plane)
+        assert abs(pf_delta(build, found)) < 1e-12
         # Dense-sweep oracle: minimize the PF splitting along the plane's
-        # coupling coordinate at the found tilted coordinate.
+        # coupling coordinate at the found tilted coordinate.  The window
+        # stays within +-0.01 of the found point: a wider one can hold the
+        # second exceptional line at the same tilted coordinate, whose
+        # square-root cusp the grid may sample deeper.
         a = plane.coords(found)[0]
-        chis = np.linspace(-0.02, 0.08, 801)
+        chis = np.linspace(found[1] - 0.01, found[1] + 0.01, 161)
         splits = []
         for chi in chis:
             pf = qep.pf_bands(qep.solve(build(plane.point(a, chi))))
@@ -202,3 +207,19 @@ class TestObliquePlane:
                 pf = qep.pf_bands(qep.solve(build(plane.point(a, chi))))
                 splits.append(abs(pf[0].omega - pf[1].omega))
             assert abs(vertex[1] - chis[int(np.argmin(splits))]) < 2e-4
+
+
+class TestFrequencyOnlyPath:
+    def test_tracking_and_refinement_compute_no_eigenvectors(self, theoretical_build, monkeypatch):
+        # Discriminants, tracking and EP refinement read frequencies only, so
+        # the per-cluster nullspace SVD of the eigenvector path never runs.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigenvector SVD on a frequency-only path")
+
+        monkeypatch.setattr(nk, "nullspace", forbidden)
+        loop = topology.circle_path((0.0, 0.025, 0.0), (0.0, -1.0, 0.0), 0.1, 64)
+        tb = topology.track_bands(theoretical_build, loop)
+        assert abs(topology.energy_vorticity(tb) - 1.0) < 1e-3
+        assert abs(pf_delta(theoretical_build, (0.0, 0.05, 0.0))) < 1e-12
+        p = tracer.refine_ep(theoretical_build, (0.0, 0.043, 0.0), plane=tracer.plane_kappa0())
+        assert np.abs(p - [0.0, 0.05, 0.0]).max() < 1e-7
