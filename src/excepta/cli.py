@@ -5,7 +5,8 @@
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (diagnostics as JSON on stderr).  All floats are printed with 12
 significant digits and JSON keys are sorted, so artifacts are stable
-golden files for a fixed seed.
+golden files for a fixed seed.  SCHEMAS lists each command's config keys
+with their kinds and defaults.
 """
 
 from __future__ import annotations
@@ -23,24 +24,6 @@ from . import lattice as lat
 from . import models, symmetry, topology, tracer
 from . import qep
 from .numkernel import ConvergenceError, SingularMatrixError
-
-COMMANDS = (
-    "solve",
-    "sweep",
-    "vorticity",
-    "arc",
-    "trace",
-    "chain",
-    "surface-audit",
-    "symmetry-check",
-    "latent-check",
-    "effective",
-    "lattice-bands",
-    "chain-point",
-    "wavepacket",
-    "synth",
-    "fit",
-)
 
 NUMERICAL_ERRORS = (
     ConvergenceError,
@@ -84,127 +67,260 @@ def _dump_json(obj) -> str:
     return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing required field '{key}'")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"field '{key}' has wrong type (expected {getattr(kind, '__name__', kind)})")
-    return val
+# A schema maps each config key to a kind, or to (kind, default) when the key
+# is optional.  A kind is a nested schema (a dict) or a function
+# (value, key, where) -> checked value that raises ConfigError naming `key`.
+# Defaults are written as they would be in a config and go through their
+# kind; an explicit null is accepted only where the default is None.
+_REQUIRED = object()
 
 
-def _check_keys(cfg: dict, allowed: set, where: str = "config"):
-    unknown = set(cfg) - allowed
+def load(schema: dict, obj: dict, where: str = "config") -> dict:
+    """Check `obj` against `schema`; return the checked values, defaults filled in."""
+    unknown = sorted(set(obj) - set(schema))
     if unknown:
-        raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {where}")
+        raise ConfigError(f"unknown field '{unknown[0]}' in {where}")
+    out = {}
+    for key, entry in schema.items():
+        kind, default = entry if isinstance(entry, tuple) else (entry, _REQUIRED)
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required field '{key}'")
+        out[key] = None if value is None and default is None else _parse(kind, value, key, where)
+    return out
 
 
-def parse_model(spec: dict):
-    _check_keys(spec, {"model", "params"}, "model spec")
-    name = _require(spec, "model", str)
-    if name not in models.MODELS:
-        raise ConfigError(f"field 'model' must be one of {sorted(models.MODELS)}")
-    cls = models.MODELS[name].params
-    params = spec.get("params", {})
-    _check_keys(params, {f.name for f in dataclasses.fields(cls)}, f"'{name}' params")
-    try:
-        return name, cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model params: {exc}") from exc
+def _parse(kind, value, key: str, where: str):
+    if isinstance(kind, dict):
+        return load(kind, OBJECT(value, key, where), f"{where}.{key}")
+    return kind(value, key, where)
 
 
-def parse_path(spec: dict) -> topology.ParameterPath:
-    kinds = {"circle", "rect", "points"}
-    keys = kinds & set(spec)
-    if len(keys) != 1:
-        raise ConfigError(f"path spec needs exactly one of {sorted(kinds)}")
-    kind = keys.pop()
-    _check_keys(spec, {kind}, "path spec")
-    body = spec[kind]
+def _leaf(expected: str, test, cast=None):
+    def parse(value, key, where):
+        if not test(value):
+            raise ConfigError(f"field '{key}' has wrong type (expected {expected})")
+        return value if cast is None else cast(value)
+
+    return parse
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+NUMBER = _leaf("number", _is_number, float)
+INT = _leaf("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
+STR = _leaf("str", lambda v: isinstance(v, str))
+BOOL = _leaf("bool", lambda v: isinstance(v, bool))
+OBJECT = _leaf("object", lambda v: isinstance(v, dict))
+
+
+def list_of(item, length: int | None = None):
+    """A list of `item` (exactly `length` long when given), returned as a tuple."""
+    shape = _leaf("list" if length is None else f"list of {length}",
+                  lambda v: isinstance(v, list) and length in (None, len(v)))
+
+    def parse(value, key, where):
+        return tuple(_parse(item, v, f"{key}[{i}]", where) for i, v in enumerate(shape(value, key, where)))
+
+    return parse
+
+
+def dict_of(item):
+    """An object with free keys and values of one kind."""
+
+    def parse(value, key, where):
+        return {k: _parse(item, v, k, f"{where}.{key}") for k, v in OBJECT(value, key, where).items()}
+
+    return parse
+
+
+def choice(*values):
+    def parse(value, key, where):
+        if value not in values:
+            raise ConfigError(f"field '{key}' must be one of {sorted(values)}")
+        return value
+
+    return parse
+
+
+def one_of(**alternatives):
+    """An object holding exactly one of the given keys; returns (key, checked body)."""
+    schema = {name: (kind, None) for name, kind in alternatives.items()}
+
+    def parse(value, key, where):
+        given = [(k, v) for k, v in _parse(schema, value, key, where).items() if v is not None]
+        if len(given) != 1:
+            raise ConfigError(f"field '{key}' needs exactly one of {sorted(alternatives)}")
+        return given[0]
+
+    return parse
+
+
+def model_of(*names):
+    """A {model, params} spec -> (name, params); params are the model dataclass's number fields."""
+    head = {"model": choice(*names), "params": (OBJECT, {})}
+
+    def parse(value, key, where):
+        spec = _parse(head, value, key, where)
+        name = spec["model"]
+        cls = models.MODELS[name].params
+        fields = {f.name: (NUMBER, f.default) for f in dataclasses.fields(cls)}
+        params = load(fields, spec["params"], f"'{name}' params")
+        try:
+            return name, cls(**params)
+        except ValueError as exc:
+            raise ConfigError(f"invalid model params: {exc}") from exc
+
+    return parse
+
+
+def _plane(value, key, where):
+    """A plane name (see parse_plane) or an explicit {origin, u, v, tag}."""
+    return value if isinstance(value, str) else _parse(PLANE, value, key, where)
+
+
+def _response_params(value, key, where):
+    from . import retrieval
+
+    return _parse({name: (NUMBER, 0.0) for name in retrieval.PARAM_NAMES}, value, key, where)
+
+
+VEC3 = list_of(NUMBER, 3)
+MODEL = model_of(*models.MODELS)
+SYNTHETIC = model_of("theoretical", "experimental")
+LATTICE = model_of("lattice")
+WINDOW = {"lo": VEC3, "hi": VEC3}
+PLANE = {"origin": VEC3, "u": VEC3, "v": VEC3, "tag": (STR, "custom")}
+PATH = one_of(
+    circle={"center": VEC3, "normal": VEC3, "radius": NUMBER, "n": (INT, 64)},
+    rect={"center": VEC3, "u": VEC3, "v": VEC3, "half_u": NUMBER, "half_v": NUMBER, "n_per_edge": (INT, 16)},
+    points={"points": list_of(VEC3), "closed": (BOOL, True)},
+)
+AXES = ("gamma", "chi", "kappa")
+KY = _leaf("number or 'chain-point'", lambda v: v == "chain-point" or _is_number(v),
+           lambda v: v if isinstance(v, str) else float(v))
+PAIR = list_of(INT, 2)
+
+# Every command's config keys.  A None default means: for junction_tol twice
+# the step, for loop_radius a size scaled to the surface, for omega0 the PF
+# band centre, for seed the --seed option, and otherwise that the key is unused.
+SCHEMAS = {
+    command: {"command": STR, "output": STR, **keys}
+    for command, keys in {
+        "solve": {"model": MODEL},
+        "sweep": {"model": SYNTHETIC, "ramp": {"param": choice(*AXES), "from": NUMBER, "to": NUMBER, "n": (INT, 101)}},
+        "vorticity": {
+            "model": MODEL,
+            "loop": (PATH, None),
+            "loops": (list_of({"name": (STR, "loop"), "loop": PATH}), None),
+            "bands": (PAIR, [0, 1]),
+        },
+        "arc": {"model": MODEL, "arc": {"start": VEC3, "end": VEC3, "via": VEC3, "bulge": NUMBER, "n": (INT, 64)}},
+        "trace": {"model": MODEL, "plane": (_plane, None), "seed_point": VEC3, "step": NUMBER, "window": WINDOW},
+        "chain": {
+            "model": MODEL,
+            "traces": list_of({"plane": (_plane, None), "seed_point": VEC3}),
+            "step": NUMBER,
+            "window": WINDOW,
+            "junction_tol": (NUMBER, None),
+            "refine_line": ({"origin": VEC3, "direction": VEC3}, None),
+        },
+        "surface-audit": {
+            "model": MODEL,
+            "surface": one_of(
+                box={"lo": VEC3, "hi": VEC3, "n_per_edge": (INT, 8)},
+                sphere={"center": VEC3, "radius": NUMBER, "n_theta": (INT, 8), "n_phi": (INT, 16)},
+            ),
+            "punctures": (list_of(VEC3), []),
+            "loop_radius": (NUMBER, None),
+        },
+        "symmetry-check": {
+            "model": MODEL, "relation": STR, "n_samples": (INT, 100), "scale": (NUMBER, 0.3), "seed": (INT, None),
+        },
+        "latent-check": {"model": SYNTHETIC, "point": VEC3, "n_max": (INT, 4)},
+        "effective": {"model": SYNTHETIC, "omega0": (NUMBER, None)},
+        "lattice-bands": {
+            "model": LATTICE,
+            "ky": (KY, "chain-point"),
+            "grid": (PAIR, [32, 32]),
+            "window": (list_of(list_of(NUMBER, 2), 2), [[-np.pi, np.pi], [-np.pi, np.pi]]),
+        },
+        "chain-point": {"model": LATTICE},
+        "wavepacket": {
+            "model": LATTICE,
+            "spec": ({"q": (NUMBER, 0.05 * np.pi), "kmax": (NUMBER, 0.4 * np.pi), "grid": (PAIR, [64, 64])}, {}),
+            "times": list_of(NUMBER),
+            "slab": (PAIR, [256, 256]),
+            "dump_fields": (BOOL, False),
+        },
+        "synth": {
+            "params": _response_params,  # the names in retrieval.PARAM_NAMES, each defaulting to 0
+            "freqs": {"from": NUMBER, "to": NUMBER, "n": INT},
+            "noise": (NUMBER, 0.0),
+            "seed": (INT, None),
+        },
+        "fit": {
+            "data": STR,
+            "free": list_of(STR),
+            "bounds": dict_of(list_of(NUMBER, 2)),
+            "fixed": (dict_of(NUMBER), {}),
+            "starts": (INT, 16),
+            "seed": (INT, None),
+        },
+    }.items()
+}
+COMMANDS = tuple(SCHEMAS)
+
+
+def parse_path(spec) -> topology.ParameterPath:
+    kind, body = spec
     if kind == "circle":
-        _check_keys(body, {"center", "normal", "radius", "n"}, "circle spec")
-        return topology.circle_path(
-            _require(body, "center", list),
-            _require(body, "normal", list),
-            float(_require(body, "radius", (int, float))),
-            int(body.get("n", 64)),
-        )
+        return topology.circle_path(**body)
     if kind == "rect":
-        _check_keys(body, {"center", "u", "v", "half_u", "half_v", "n_per_edge"}, "rect spec")
-        return topology.rect_path(
-            _require(body, "center", list),
-            _require(body, "u", list),
-            _require(body, "v", list),
-            float(_require(body, "half_u", (int, float))),
-            float(_require(body, "half_v", (int, float))),
-            int(body.get("n_per_edge", 16)),
-        )
-    _check_keys(body, {"points", "closed"}, "points spec")
-    return topology.ParameterPath(
-        points=np.asarray(_require(body, "points", list), dtype=float),
-        closed=bool(body.get("closed", True)),
-    )
+        return topology.rect_path(*(body[k] for k in ("center", "u", "v", "half_u", "half_v", "n_per_edge")))
+    return topology.ParameterPath(**body)
 
 
-def parse_plane(spec, params) -> tracer.PlaneSpec:
-    if isinstance(spec, str):
-        if spec == "gamma=0":
-            return tracer.plane_gamma0()
-        if spec == "kappa=0":
-            return tracer.plane_kappa0()
-        if spec == "oblique":
-            return tracer.plane_oblique(params.gamma0, params.m0)
-        if spec.startswith("k") and "=" in spec:
-            axis, val = spec[1:].split("=")
-            return tracer.plane_wavevector(axis, float(val))
-        raise ConfigError(f"unknown plane '{spec}'")
-    _check_keys(spec, {"origin", "u", "v", "tag"}, "plane spec")
-    return tracer.PlaneSpec(
-        origin=np.asarray(_require(spec, "origin", list), dtype=float),
-        u=np.asarray(_require(spec, "u", list), dtype=float),
-        v=np.asarray(_require(spec, "v", list), dtype=float),
-        tag=spec.get("tag", "custom"),
-    )
-
-
-def parse_window(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    window = _require(cfg, "window", dict)
-    _check_keys(window, {"lo", "hi"}, "window spec")
-    return (
-        np.asarray(_require(window, "lo", list), dtype=float),
-        np.asarray(_require(window, "hi", list), dtype=float),
-    )
+def parse_plane(spec, params) -> tracer.PlaneSpec | None:
+    """None, a checked {origin, u, v, tag}, a named plane or 'k<axis>=<value>'."""
+    if spec is None:
+        return None
+    if isinstance(spec, dict):
+        return tracer.PlaneSpec(**spec)
+    if spec == "gamma=0":
+        return tracer.plane_gamma0()
+    if spec == "kappa=0":
+        return tracer.plane_kappa0()
+    if spec == "oblique":
+        return tracer.plane_oblique(params.gamma0, params.m0)
+    axis, _, value = spec.partition("=")
+    try:
+        if axis.startswith("k"):
+            return tracer.plane_wavevector(axis[1:], float(value))
+    except ValueError:
+        pass
+    raise ConfigError(f"unknown plane '{spec}'")
 
 
 def _omega_list(ws) -> list:
     return [[_fmt(w.real), _fmt(w.imag)] for w in ws]
 
 
-def cmd_solve(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "output"}, "solve config")
-    name, params = parse_model(_require(cfg, "model", dict))
+def cmd_solve(cfg, jobs):
+    name, params = cfg["model"]
     spectrum = qep.solve(models.MODELS[name].qmp(params))
-    result = {
-        "omegas": _omega_list(spectrum.omegas),
-        "pf_gap_ok": spectrum.pf_gap_ok,
-        "ep_clusters": [list(c) for c in spectrum.ep_clusters],
-    }
+    result = {"omegas": _omega_list(spectrum.omegas), "pf_gap_ok": spectrum.pf_gap_ok,
+              "ep_clusters": [list(c) for c in spectrum.ep_clusters]}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
 
-def cmd_sweep(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "ramp", "output"}, "sweep config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name == "lattice":
-        raise ConfigError("field 'model': sweep supports the synthetic-dimension models")
-    ramp = _require(cfg, "ramp", dict)
-    _check_keys(ramp, {"param", "from", "to", "n"}, "ramp spec")
-    pname = _require(ramp, "param", str)
-    axis = {"gamma": 0, "chi": 1, "kappa": 2}.get(pname)
-    if axis is None:
-        raise ConfigError("ramp field 'param' must be gamma, chi, or kappa")
-    n = int(ramp.get("n", 101))
-    values = np.linspace(float(_require(ramp, "from", (int, float))), float(_require(ramp, "to", (int, float))), max(n, 1))
+def cmd_sweep(cfg, jobs):
+    _, params = cfg["model"]
+    ramp = cfg["ramp"]
+    axis = AXES.index(ramp["param"])
+    values = np.linspace(ramp["from"], ramp["to"], max(ramp["n"], 1))
     base = params.g
     build = models.builder(params)
     # Sweeps may cross exceptional points (band merging is the interesting
@@ -224,23 +340,20 @@ def cmd_sweep(cfg, out_dir, seed, jobs):
     return {"rows": len(rows)}, [(cfg["output"] + ".csv", text)]
 
 
-def cmd_vorticity(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "loop", "loops", "bands", "output"}, "vorticity config")
-    name, params = parse_model(_require(cfg, "model", dict))
+def cmd_vorticity(cfg, jobs):
+    _, params = cfg["model"]
     build = models.builder(params)
-    bands = cfg.get("bands", [0, 1])
-    if "loops" in cfg:
-        loop_specs = _require(cfg, "loops", list)
-    elif "loop" in cfg:
+    i, j = cfg["bands"]
+    if cfg["loops"] is not None:
+        loop_specs = cfg["loops"]
+    elif cfg["loop"] is not None:
         loop_specs = [{"name": "loop", "loop": cfg["loop"]}]
     else:
         raise ConfigError("missing required field 'loop' (or 'loops')")
 
     def one(spec):
-        _check_keys(spec, {"name", "loop"}, "loop entry")
-        path = parse_path(_require(spec, "loop", dict))
-        tb = topology.track_bands(build, path)
-        return spec.get("name", "loop"), topology.energy_vorticity(tb, bands[0], bands[1])
+        tb = topology.track_bands(build, parse_path(spec["loop"]))
+        return spec["name"], topology.energy_vorticity(tb, i, j)
 
     if jobs > 1 and len(loop_specs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -255,31 +368,13 @@ def cmd_vorticity(cfg, out_dir, seed, jobs):
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
 
-def cmd_arc(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "arc", "output"}, "arc config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    spec = _require(cfg, "arc", dict)
-    _check_keys(spec, {"start", "end", "via", "bulge", "n"}, "arc spec")
-    path = topology.arc_path(
-        _require(spec, "start", list),
-        _require(spec, "end", list),
-        _require(spec, "via", list),
-        float(_require(spec, "bulge", (int, float))),
-        int(spec.get("n", 64)),
-    )
+def cmd_arc(cfg, jobs):
+    _, params = cfg["model"]
+    a = cfg["arc"]
+    path = topology.arc_path(a["start"], a["end"], a["via"], a["bulge"], a["n"])
     val = topology.arc_invariant(models.builder(params), path)
     result = {"d_plus": _fmt(val)}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
-
-
-def _line_payload(line: tracer.ExceptionalLine) -> dict:
-    return {
-        "closed": line.closed,
-        "orientation": line.orientation,
-        "plane": line.plane_tag,
-        "n_vertices": len(line.polyline),
-        "polyline": [[_fmt(c) for c in p] for p in line.polyline],
-    }
 
 
 def _line_csv(lines) -> str:
@@ -287,72 +382,40 @@ def _line_csv(lines) -> str:
     return qep.csv_text(["edge", "vertex", "x0", "x1", "x2"], rows)
 
 
-def cmd_trace(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "plane", "seed_point", "step", "window", "output"}, "trace config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    build = models.builder(params)
-    plane = parse_plane(cfg.get("plane"), params) if cfg.get("plane") else None
-    line = tracer.trace_el(
-        build,
-        np.asarray(_require(cfg, "seed_point", list), dtype=float),
-        float(_require(cfg, "step", (int, float))),
-        parse_window(cfg),
-        plane=plane,
-    )
-    payload = _line_payload(line)
-    return {"closed": line.closed, "orientation": line.orientation, "n_vertices": len(line.polyline)}, [
-        (cfg["output"] + ".json", _dump_json(payload)),
-        (cfg["output"] + ".csv", _line_csv([line])),
-    ]
+def cmd_trace(cfg, jobs):
+    _, params = cfg["model"]
+    window = (cfg["window"]["lo"], cfg["window"]["hi"])
+    plane = parse_plane(cfg["plane"], params)
+    line = tracer.trace_el(models.builder(params), cfg["seed_point"], cfg["step"], window, plane=plane)
+    summary = {"closed": line.closed, "orientation": line.orientation, "n_vertices": len(line.polyline)}
+    payload = {**summary, "plane": line.plane_tag, "polyline": [[_fmt(c) for c in p] for p in line.polyline]}
+    out = cfg["output"]
+    return summary, [(out + ".json", _dump_json(payload)), (out + ".csv", _line_csv([line]))]
 
 
-def cmd_chain(cfg, out_dir, seed, jobs):
-    _check_keys(
-        cfg,
-        {"command", "model", "traces", "step", "window", "junction_tol", "refine_line", "output"},
-        "chain config",
-    )
-    name, params = parse_model(_require(cfg, "model", dict))
+def cmd_chain(cfg, jobs):
+    _, params = cfg["model"]
     build = models.builder(params)
-    win = parse_window(cfg)
-    step = float(_require(cfg, "step", (int, float)))
-    traces = _require(cfg, "traces", list)
+    window = (cfg["window"]["lo"], cfg["window"]["hi"])
+    step = cfg["step"]
+    traces = cfg["traces"]
     if not traces:
         raise ConfigError("field 'traces' must not be empty")
-    lines = []
-    for entry in traces:
-        _check_keys(entry, {"plane", "seed_point"}, "trace entry")
-        plane = parse_plane(entry.get("plane"), params) if entry.get("plane") else None
-        seed_point = np.asarray(_require(entry, "seed_point", list), dtype=float)
-        lines.append(tracer.trace_el(build, seed_point, step, win, plane=plane))
-    refine_line = None
-    if "refine_line" in cfg:
-        rl = _require(cfg, "refine_line", dict)
-        _check_keys(rl, {"origin", "direction"}, "refine_line spec")
-        refine_line = (
-            np.asarray(_require(rl, "origin", list), dtype=float),
-            np.asarray(_require(rl, "direction", list), dtype=float),
-        )
-    graph = tracer.assemble_chain(
-        build,
-        lines,
-        junction_tol=float(cfg.get("junction_tol", 2.0 * step)),
-        refine_line=refine_line,
-    )
+    planes = [parse_plane(t["plane"], params) for t in traces]
+    lines = [tracer.trace_el(build, t["seed_point"], step, window, plane=p) for t, p in zip(traces, planes)]
+    rl = cfg["refine_line"]
+    refine_line = None if rl is None else (rl["origin"], rl["direction"])
+    junction_tol = 2.0 * step if cfg["junction_tol"] is None else cfg["junction_tol"]
+    try:
+        graph = tracer.assemble_chain(build, lines, junction_tol=junction_tol, refine_line=refine_line)
+    except tracer.DuplicateLineError as exc:
+        raise ConfigError(f"field 'traces': {exc}") from exc
     payload = {
         "valid": graph.valid,
-        "nodes": [
-            {"position": [_fmt(c) for c in n.position], "in": n.n_in, "out": n.n_out}
-            for n in graph.nodes
-        ],
+        "nodes": [{"position": [_fmt(c) for c in n.position], "in": n.n_in, "out": n.n_out} for n in graph.nodes],
         "edges": [
-            {
-                "plane": e.line.plane_tag,
-                "orientation": e.line.orientation,
-                "start_node": e.start_node,
-                "end_node": e.end_node,
-                "n_vertices": len(e.line.polyline),
-            }
+            {"plane": e.line.plane_tag, "orientation": e.line.orientation, "start_node": e.start_node,
+             "end_node": e.end_node, "n_vertices": len(e.line.polyline)}
             for e in graph.edges
         ],
     }
@@ -363,51 +426,26 @@ def cmd_chain(cfg, out_dir, seed, jobs):
     return {"valid": graph.valid, "n_nodes": len(graph.nodes), "n_edges": len(graph.edges)}, files
 
 
-def cmd_surface_audit(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "surface", "punctures", "loop_radius", "output"}, "surface-audit config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    build = models.builder(params)
-    spec = _require(cfg, "surface", dict)
-    kinds = {"box", "sphere"} & set(spec)
-    if len(kinds) != 1:
-        raise ConfigError("surface spec needs exactly one of ['box', 'sphere']")
-    kind = kinds.pop()
-    body = spec[kind]
-    if kind == "box":
-        _check_keys(body, {"lo", "hi", "n_per_edge"}, "box spec")
-        surface = topology.box_surface(
-            _require(body, "lo", list), _require(body, "hi", list), int(body.get("n_per_edge", 8))
-        )
-    else:
-        _check_keys(body, {"center", "radius", "n_theta", "n_phi"}, "sphere spec")
-        surface = topology.sphere_surface(
-            _require(body, "center", list),
-            float(_require(body, "radius", (int, float))),
-            int(body.get("n_theta", 8)),
-            int(body.get("n_phi", 16)),
-        )
-    punctures = cfg.get("punctures", [])
-    radius = cfg.get("loop_radius")
-    result = topology.surface_audit(
-        build, surface, punctures, loop_radius=None if radius is None else float(radius)
-    )
+def cmd_surface_audit(cfg, jobs):
+    _, params = cfg["model"]
+    kind, body = cfg["surface"]
+    surface = topology.box_surface(**body) if kind == "box" else topology.sphere_surface(**body)
+    result = topology.surface_audit(models.builder(params), surface, cfg["punctures"], loop_radius=cfg["loop_radius"])
     payload = {"pfdns": list(result.pfdns), "total": result.total}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-def cmd_symmetry_check(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "relation", "n_samples", "scale", "output", "seed"}, "symmetry-check config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    rel_name = _require(cfg, "relation", str)
+def cmd_symmetry_check(cfg, jobs):
+    name, params = cfg["model"]
+    rel_name = cfg["relation"]
     gamma0 = getattr(params, "gamma0", 0.0)
     m0 = getattr(params, "m0", getattr(params, "m", 1.0))
     try:
         rel = symmetry.builtin_relation(rel_name, gamma0=gamma0, m0=m0)
     except KeyError as exc:
         raise ConfigError(f"field 'relation': {exc.args[0]}") from exc
-    n = int(cfg.get("n_samples", 100))
-    scale = float(cfg.get("scale", 0.3))
-    rng = np.random.default_rng(int(cfg.get("seed", seed)))
+    n, scale = cfg["n_samples"], cfg["scale"]
+    rng = np.random.default_rng(cfg["seed"])
     samples = []
     for _ in range(n):
         omega = complex(rng.normal(), rng.normal())
@@ -425,13 +463,9 @@ def cmd_symmetry_check(cfg, out_dir, seed, jobs):
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-def cmd_latent_check(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "point", "n_max", "output"}, "latent-check config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name == "lattice":
-        raise ConfigError("field 'model': latent-check supports the synthetic-dimension models")
-    g = np.asarray(_require(cfg, "point", list), dtype=float)
-    n_max = int(cfg.get("n_max", 4))
+def cmd_latent_check(cfg, jobs):
+    name, params = cfg["model"]
+    g = np.asarray(cfg["point"])
     if name == "theoretical":
         h = qep.linearize(models.theoretical_qmp(params.at(g)))
         h_mapped = qep.linearize(models.theoretical_qmp(params.at(g * np.array([1.0, 1.0, -1.0]))))
@@ -442,7 +476,7 @@ def cmd_latent_check(cfg, out_dir, seed, jobs):
         g[2] = params.gamma0 * g[0] / (2.0 * params.m0)
         h = qep.linearize(models.experimental_shifted_qmp(params.at(g)))
         h_mapped = h
-    res = symmetry.theorem2_crosscheck(h_mapped, h, models.SIGMA_X, symmetry.velocity_block(2), n_max=n_max)
+    res = symmetry.theorem2_crosscheck(h_mapped, h, models.SIGMA_X, symmetry.velocity_block(2), n_max=cfg["n_max"])
     payload = {
         "latent_residual": _fmt(res.latent),
         "reduction_residual": _fmt(res.reduction),
@@ -452,13 +486,10 @@ def cmd_latent_check(cfg, out_dir, seed, jobs):
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-def cmd_effective(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "omega0", "output"}, "effective config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name == "lattice":
-        raise ConfigError("field 'model': effective reduction supports the synthetic-dimension models")
+def cmd_effective(cfg, jobs):
+    name, params = cfg["model"]
     q = models.MODELS[name].qmp(params)
-    eff = models.effective_two_band(q, cfg.get("omega0"))
+    eff = models.effective_two_band(q, cfg["omega0"])
     pf = qep.pf_omegas(qep.solve(q))
     exact_split = pf[1] - pf[0]
     shifts = eff.shifts
@@ -473,17 +504,10 @@ def cmd_effective(cfg, out_dir, seed, jobs):
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-def cmd_lattice_bands(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "ky", "grid", "window", "output"}, "lattice-bands config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name != "lattice":
-        raise ConfigError("field 'model' must be 'lattice'")
-    ky = cfg.get("ky", "chain-point")
-    if ky == "chain-point":
-        ky = float(lat.chain_point_coords(params)[1])
-    grid = tuple(cfg.get("grid", [32, 32]))
-    window = cfg.get("window", [[-np.pi, np.pi], [-np.pi, np.pi]])
-    field = lat.band_slice(params, float(ky), grid=grid, window=(tuple(window[0]), tuple(window[1])))
+def cmd_lattice_bands(cfg, jobs):
+    _, params = cfg["model"]
+    ky = float(lat.chain_point_coords(params)[1]) if cfg["ky"] == "chain-point" else cfg["ky"]
+    field = lat.band_slice(params, ky, grid=cfg["grid"], window=cfg["window"])
     rows = []
     for i, kx in enumerate(field.kx):
         for j, kz in enumerate(field.kz):
@@ -495,33 +519,18 @@ def cmd_lattice_bands(cfg, out_dir, seed, jobs):
     ]
 
 
-def cmd_chain_point(cfg, out_dir, seed, jobs):
-    _check_keys(cfg, {"command", "model", "output"}, "chain-point config")
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name != "lattice":
-        raise ConfigError("field 'model' must be 'lattice'")
+def cmd_chain_point(cfg, jobs):
+    _, params = cfg["model"]
     k = lat.chain_point_coords(params)
     payload = {"ky": _fmt(k[1]), "k": [_fmt(v) for v in k]}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-def cmd_wavepacket(cfg, out_dir, seed, jobs):
-    _check_keys(
-        cfg, {"command", "model", "spec", "times", "slab", "dump_fields", "output"}, "wavepacket config"
-    )
-    name, params = parse_model(_require(cfg, "model", dict))
-    if name != "lattice":
-        raise ConfigError("field 'model' must be 'lattice'")
-    spec_cfg = cfg.get("spec", {})
-    _check_keys(spec_cfg, {"q", "kmax", "grid"}, "wavepacket spec")
-    spec = lat.WavepacketSpec(
-        q=float(spec_cfg.get("q", 0.05 * np.pi)),
-        kmax=float(spec_cfg.get("kmax", 0.4 * np.pi)),
-        grid=tuple(spec_cfg.get("grid", [64, 64])),
-    )
-    times = [float(t) for t in _require(cfg, "times", list)]
-    slab = tuple(cfg.get("slab", [256, 256]))
-    fields = lat.evolve_wavepacket(params, spec, times, slab=slab)
+def cmd_wavepacket(cfg, jobs):
+    _, params = cfg["model"]
+    spec = lat.WavepacketSpec(**cfg["spec"])
+    times = cfg["times"]
+    fields = lat.evolve_wavepacket(params, spec, times, slab=cfg["slab"])
     rows = []
     for f in fields:
         for band in (1, 2):
@@ -533,51 +542,35 @@ def cmd_wavepacket(cfg, out_dir, seed, jobs):
     g1, g2 = lat.max_growth_rates(params, spec)
     payload = {"n_times": len(times), "max_growth": [_fmt(g1), _fmt(g2)]}
     files = [(cfg["output"] + ".csv", qep.csv_text(header, rows))]
-    if cfg.get("dump_fields"):
+    if cfg["dump_fields"]:
         for f in fields:
             files.append((f"{cfg['output']}_field_t{f.t:g}.csv", lat.field_to_csv(f)))
     return payload, files
 
 
-def cmd_synth(cfg, out_dir, seed, jobs):
+def cmd_synth(cfg, jobs):
     from . import retrieval
 
-    _check_keys(cfg, {"command", "params", "freqs", "noise", "seed", "output"}, "synth config")
-    params = _require(cfg, "params", dict)
-    _check_keys(params, set(retrieval.PARAM_NAMES), "synth params")
-    full = {n: float(params.get(n, 0.0)) for n in retrieval.PARAM_NAMES}
-    fspec = _require(cfg, "freqs", dict)
-    _check_keys(fspec, {"from", "to", "n"}, "freqs spec")
-    freqs = np.linspace(float(fspec["from"]), float(fspec["to"]), int(fspec["n"]))
-    spectra = retrieval.synth_response(
-        full, freqs, noise=float(cfg.get("noise", 0.0)), seed=int(cfg.get("seed", seed))
-    )
+    f = cfg["freqs"]
+    freqs = np.linspace(f["from"], f["to"], f["n"])
+    spectra = retrieval.synth_response(cfg["params"], freqs, noise=cfg["noise"], seed=cfg["seed"])
     return {"n_freqs": len(freqs), "noise": spectra.noise_level}, [
         (cfg["output"] + ".csv", retrieval.spectra_to_csv(spectra))
     ]
 
 
-def cmd_fit(cfg, out_dir, seed, jobs):
+def cmd_fit(cfg, jobs):
     from . import retrieval
 
-    _check_keys(
-        cfg, {"command", "data", "free", "bounds", "fixed", "starts", "seed", "output"}, "fit config"
-    )
-    data_path = Path(_require(cfg, "data", str))
+    data_path = Path(cfg["data"])
     if not data_path.exists():
         raise ConfigError(f"field 'data': file {data_path} does not exist")
     spectra = retrieval.spectra_from_csv(data_path.read_text())
     try:
-        model = retrieval.FitModel(
-            free=tuple(_require(cfg, "free", list)),
-            bounds={k: tuple(v) for k, v in _require(cfg, "bounds", dict).items()},
-            fixed={k: float(v) for k, v in cfg.get("fixed", {}).items()},
-        )
-    except (TypeError, ValueError) as exc:
+        model = retrieval.FitModel(free=cfg["free"], bounds=cfg["bounds"], fixed=cfg["fixed"])
+    except ValueError as exc:
         raise ConfigError(f"invalid fit model: {exc}") from exc
-    result = retrieval.fit_parameters(
-        spectra, model, starts=int(cfg.get("starts", 16)), seed=int(cfg.get("seed", seed))
-    )
+    result = retrieval.fit_parameters(spectra, model, starts=cfg["starts"], seed=cfg["seed"])
     payload = {
         "params": {k: _fmt(v) for k, v in result.params.items()},
         "rms_residual": _fmt(result.rms_residual),
@@ -586,23 +579,8 @@ def cmd_fit(cfg, out_dir, seed, jobs):
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
-HANDLERS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "vorticity": cmd_vorticity,
-    "arc": cmd_arc,
-    "trace": cmd_trace,
-    "chain": cmd_chain,
-    "surface-audit": cmd_surface_audit,
-    "symmetry-check": cmd_symmetry_check,
-    "latent-check": cmd_latent_check,
-    "effective": cmd_effective,
-    "lattice-bands": cmd_lattice_bands,
-    "chain-point": cmd_chain_point,
-    "wavepacket": cmd_wavepacket,
-    "synth": cmd_synth,
-    "fit": cmd_fit,
-}
+# The handler of command "a-b" is cmd_a_b.
+HANDLERS = {command: globals()["cmd_" + command.replace("-", "_")] for command in SCHEMAS}
 
 
 def run(command: str, config_path: str, out_dir: str = ".", seed: int = 0, jobs: int = 1) -> dict:
@@ -610,18 +588,17 @@ def run(command: str, config_path: str, out_dir: str = ".", seed: int = 0, jobs:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(path.read_text())
+        raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    declared = _require(cfg, "command", str)
-    if declared not in COMMANDS:
-        raise ConfigError(f"field 'command' must be one of {sorted(COMMANDS)}")
-    if declared != command:
-        raise ConfigError(f"config declares command '{declared}' but '{command}' was invoked")
-    _require(cfg, "output", str)
-    summary, files = HANDLERS[command](cfg, out_dir, seed, jobs)
+    if raw.get("command") != command:
+        raise ConfigError(f"field 'command' must be '{command}', the command invoked")
+    cfg = load(SCHEMAS[command], raw)
+    if "seed" in cfg and cfg["seed"] is None:
+        cfg["seed"] = seed
+    summary, files = HANDLERS[command](cfg, jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fname, content in files:

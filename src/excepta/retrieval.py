@@ -14,8 +14,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .numkernel import ConvergenceError
 from .qep import csv_text
@@ -169,6 +167,9 @@ def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, see
     results are reproducible.  Derivative-free search is deliberate: the
     magnitude curves have |.| kinks near antiresonances.
     """
+    from scipy.optimize import minimize  # imported here so synthesis alone loads no scipy
+    from scipy.stats import qmc
+
     if len(data.freqs) < 50:
         raise ValueError("need at least 50 frequency samples")
     lo = np.array([model.bounds[n][0] for n in model.free])

@@ -26,6 +26,10 @@ class DiabolicPointError(RuntimeError):
     """Degeneracy with orthogonal eigenvectors: not exceptional."""
 
 
+class DuplicateLineError(ValueError):
+    """Two lines given to assemble_chain trace the same exceptional line."""
+
+
 class RefineError(RuntimeError):
     """Newton + fallback failed to reach the discriminant zero set."""
 
@@ -507,6 +511,17 @@ def newton_on_line(build, origin, direction, t0, tol=1e-12):
     return origin + t * direction
 
 
+def _distance_to_line(points: np.ndarray, line: ExceptionalLine) -> np.ndarray:
+    """Distance from each point to the nearest segment of `line`."""
+    a = line.polyline
+    # Segment ends; a closed line has the one back to its start, and a lone
+    # vertex is a segment of length zero.
+    b = np.roll(a, -1, axis=0) if line.closed or len(a) == 1 else a[1:]
+    ab, rel = b - a[: len(b)], points[:, None, :] - a[None, : len(b), :]
+    t = np.einsum("psk,sk->ps", rel, ab) / np.maximum(np.einsum("sk,sk->s", ab, ab), np.finfo(float).tiny)
+    return np.linalg.norm(rel - np.clip(t, 0.0, 1.0)[..., None] * ab, axis=2).min(axis=1)
+
+
 def _split_polyline(line: ExceptionalLine, hits: list[tuple[int, np.ndarray]]) -> list[tuple[np.ndarray, int | None, int | None]]:
     """Cut a polyline at (vertex index, node id) hits; returns (pts, start_node, end_node)."""
     pts = line.polyline
@@ -553,7 +568,16 @@ def assemble_chain(
     are split at the nodes, re-oriented by probe loops near their midpoints,
     and each node's in/out counts are compared; an unbalanced node flags the
     graph invalid, which is the detection mechanism for broken symmetry.
+    Raises DuplicateLineError when all vertices of one input line lie within
+    half a step of another, i.e. the same line was traced twice.
     """
+    median_step = float(np.median([np.median(np.linalg.norm(np.diff(l.polyline, axis=0), axis=1)) for l in edges]))
+    for a in range(len(edges)):
+        for b in range(a + 1, len(edges)):
+            pa, pb = edges[a], edges[b]
+            gap = min(_distance_to_line(pa.polyline, pb).max(), _distance_to_line(pb.polyline, pa).max())
+            if gap < 0.5 * median_step:
+                raise DuplicateLineError(f"lines {a} and {b} trace the same exceptional line")
     # Stable sorts on keys that solver noise cannot move: lines by plane tag
     # (then input order), nodes by rounded position.
     lines = sorted(edges, key=lambda e: e.plane_tag)
@@ -586,11 +610,8 @@ def assemble_chain(
 
     # Split the edges at the nodes and snap the cut vertices.
     graph_edges: list[GraphEdge] = []
-    median_step = np.median(
-        [np.median(np.linalg.norm(np.diff(l.polyline, axis=0), axis=1)) for l in lines]
-    )
     if probe_radius is None:
-        probe_radius = 3.0 * float(median_step)
+        probe_radius = 3.0 * median_step
     for line in lines:
         hits = []
         for node_id, node in enumerate(nodes):

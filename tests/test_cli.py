@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from excepta import cli
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -46,7 +49,45 @@ BAD_CONFIGS = {
     "unknown_relation": ("symmetry_gamma", lambda c: c.update(relation="nope")),
     "fit_free_without_bounds": ("fit_demo", lambda c: c["bounds"].pop("c")),
     "fit_unknown_free": ("fit_demo", lambda c: c.update(free=c["free"] + ["bogus"])),
+    "circle_radius_bool": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(radius=True)),
+    "circle_n_fractional": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(n=64.5)),
+    "circle_n_integral_float": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(n=64.0)),
+    "circle_center_two_entries": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(center=[0.0, 0.0])),
+    "trace_plane_bad_value": ("trace_er", lambda c: c.update(plane="kx=abc")),
+    "sweep_ramp_n_string": ("sweep_experimental_chi", lambda c: c["ramp"].update(n="x")),
+    "lattice_ky_bad_string": ("lattice_bands_small", lambda c: c.update(ky="abc")),
+    "chain_same_line_twice": ("chain_theoretical", lambda c: c.update(traces=[c["traces"][0]] * 2)),
 }
+
+# Keys where an explicit null means the default (None).
+NULL_MEANS_DEFAULT = {"omega0", "loop_radius", "seed"}
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def numeric_paths(value, path=()):
+    """Paths to every number and every list of numbers inside a config."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_paths(item, path + (key,))
+    elif isinstance(value, list):
+        if value and all(is_number(v) for v in value):
+            yield path
+        for i, item in enumerate(value):
+            yield from numeric_paths(item, path + (i,))
+    elif is_number(value):
+        yield path
+
+
+def replaced(cfg: dict, path: tuple, value) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return cfg
 
 
 class TestExitCodes:
@@ -94,6 +135,35 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == "config"
 
+    def test_chain_names_duplicate_traces(self, tmp_path):
+        cfg = edited_config("chain_theoretical", BAD_CONFIGS["chain_same_line_twice"][1])
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli(["chain", "--config", str(path), "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "lines 0 and 1 trace the same exceptional line" in json.loads(res.stderr)["message"]
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_spoiled_numbers_exit_2(self, config, tmp_path, capsys):
+        # Every number and numeric list, replaced by a string or by null, is a
+        # config error, except null on a key whose default is None.
+        base = json.loads(config.read_text())
+        command = base["command"]
+        failures = []
+        for path in numeric_paths(base):
+            for value in ("x", None):
+                cfg = replaced(base, path, value)
+                if value is None and path[-1] in NULL_MEANS_DEFAULT:
+                    assert cli.load(cli.SCHEMAS[command], cfg)[path[-1]] is None
+                    continue
+                cfg_path = tmp_path / "bad.json"
+                cfg_path.write_text(json.dumps(cfg))
+                code = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                if code != 2:
+                    failures.append(f"{path}={value!r}: exit {code} {err[-200:]}")
+        assert not failures, "\n".join(failures)
+
     def test_command_mismatch(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(
@@ -132,24 +202,37 @@ class TestExitCodes:
 
 
 class TestColdStart:
-    @staticmethod
-    def loaded_after_cli_import(module: str) -> str:
+    # scipy is imported inside the functions that use it (band matching, the
+    # particle-hole residual, fitting), so no import path loads it.
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import excepta.cli",
+            "from excepta import models, topology, tracer, lattice",
+            "import excepta.retrieval",
+        ],
+        ids=["cli", "core", "retrieval"],
+    )
+    def test_import_loads_no_scipy(self, statement):
         res = subprocess.run(
-            [sys.executable, "-c", f"import sys, excepta.cli; print({module!r} in sys.modules)"],
+            [sys.executable, "-c", f"import sys; {statement}; print([m for m in sys.modules if m.startswith('scipy')])"],
             capture_output=True,
             text=True,
             cwd=REPO,
         )
         assert res.returncode == 0, res.stderr
-        return res.stdout.strip()
+        assert res.stdout.strip() == "[]"
 
-    def test_cli_import_skips_scipy_stats(self):
-        # Only synth and fit need the retrieval module and its scipy.stats.
-        assert self.loaded_after_cli_import("scipy.stats") == "False"
-
-    def test_cli_import_skips_scipy_optimize(self):
-        # Band matching and the particle-hole residual import it when called.
-        assert self.loaded_after_cli_import("scipy.optimize") == "False"
+    def test_no_module_level_scipy_import(self):
+        for source in sorted((REPO / "src" / "excepta").glob("*.py")):
+            for node in ast.parse(source.read_text()).body:
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), f"{source.name}:{node.lineno}"
 
 
 class TestGoldenRoundTrip:

@@ -149,6 +149,17 @@ class TestAssembleChain:
         assert graph.edges[0].line.closed
         assert graph.valid
 
+    def test_same_line_twice_rejected(self, theoretical_build, chain_lines):
+        er, el_b, _ = chain_lines
+        # The ring traced again from another of its vertices: same line, other vertices.
+        again = tracer.trace_el(
+            theoretical_build, er.polyline[len(er.polyline) // 3], step=0.006, window=WIN,
+            plane=tracer.plane_gamma0(),
+        )
+        for lines, pair in (([er, el_b, er], "0 and 2"), ([el_b, er, again], "1 and 2")):
+            with pytest.raises(tracer.DuplicateLineError, match=f"lines {pair} trace the same"):
+                tracer.assemble_chain(theoretical_build, lines, junction_tol=0.012)
+
     def test_single_broken_symmetry_keeps_junction(self):
         # Asymmetric velocity damping (odd in gamma) breaks only the
         # swap-adjoint relation: the lines leave the kappa = 0 plane but the
