@@ -223,6 +223,25 @@ class TestColdStart:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
 
+    @staticmethod
+    def loaded_after_cli_import(module: str) -> str:
+        res = subprocess.run(
+            [sys.executable, "-c", f"import sys, excepta.cli; print({module!r} in sys.modules)"],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout.strip()
+
+    def test_cli_import_skips_scipy_stats(self):
+        # Only synth and fit need the retrieval module and its scipy.stats.
+        assert self.loaded_after_cli_import("scipy.stats") == "False"
+
+    def test_cli_import_skips_scipy_optimize(self):
+        # Band matching and the particle-hole residual import it when called.
+        assert self.loaded_after_cli_import("scipy.optimize") == "False"
+
     def test_no_module_level_scipy_import(self):
         for source in sorted((REPO / "src" / "excepta").glob("*.py")):
             for node in ast.parse(source.read_text()).body:
