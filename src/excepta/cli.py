@@ -23,11 +23,10 @@ import numpy as np
 from . import lattice as lat
 from . import models, symmetry, topology, tracer
 from . import qep
-from .numkernel import ConvergenceError, SingularMatrixError
+from .numkernel import ConvergenceError
 
 NUMERICAL_ERRORS = (
     ConvergenceError,
-    SingularMatrixError,
     qep.SpectralGapError,
     qep.NearSingularError,
     topology.TrackingError,
@@ -43,23 +42,20 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _fmt(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _round_floats(obj):
+    """JSON-ready copy of obj: floats to 12 significant digits, complex as [re, im], arrays as lists."""
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, complex):
-        return [_fmt(obj.real), _fmt(obj.imag)]
+        return [_round_floats(obj.real), _round_floats(obj.imag)]
     return obj
 
 
@@ -274,6 +270,19 @@ SCHEMAS = {
 COMMANDS = tuple(SCHEMAS)
 
 
+def _built(fields: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError on a config value raised as a ConfigError naming `fields`.
+
+    np.linalg.LinAlgError is a ValueError too, but a numerical failure, so it passes through.
+    """
+    try:
+        return make(*args, **kwargs)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"field {fields}: {exc}") from exc
+
+
 def parse_path(spec) -> topology.ParameterPath:
     kind, body = spec
     if kind == "circle":
@@ -294,6 +303,8 @@ def parse_plane(spec, params) -> tracer.PlaneSpec | None:
     if spec == "kappa=0":
         return tracer.plane_kappa0()
     if spec == "oblique":
+        if not isinstance(params, models.ExperimentalParams):
+            raise ConfigError("field 'plane': the oblique plane needs the experimental model")
         return tracer.plane_oblique(params.gamma0, params.m0)
     axis, _, value = spec.partition("=")
     try:
@@ -304,14 +315,10 @@ def parse_plane(spec, params) -> tracer.PlaneSpec | None:
     raise ConfigError(f"unknown plane '{spec}'")
 
 
-def _omega_list(ws) -> list:
-    return [[_fmt(w.real), _fmt(w.imag)] for w in ws]
-
-
 def cmd_solve(cfg, jobs):
     name, params = cfg["model"]
     spectrum = qep.solve(models.MODELS[name].qmp(params))
-    result = {"omegas": _omega_list(spectrum.omegas), "pf_gap_ok": spectrum.pf_gap_ok,
+    result = {"omegas": spectrum.omegas, "pf_gap_ok": spectrum.pf_gap_ok,
               "ep_clusters": [list(c) for c in spectrum.ep_clusters]}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
@@ -351,29 +358,31 @@ def cmd_vorticity(cfg, jobs):
     else:
         raise ConfigError("missing required field 'loop' (or 'loops')")
 
-    def one(spec):
-        tb = topology.track_bands(build, parse_path(spec["loop"]))
-        return spec["name"], topology.energy_vorticity(tb, i, j)
+    loops = [(spec["name"], _built("'loop'", parse_path, spec["loop"])) for spec in loop_specs]
 
-    if jobs > 1 and len(loop_specs) > 1:
+    def one(loop):
+        name, path = loop
+        return name, topology.energy_vorticity(topology.track_bands(build, path), i, j)
+
+    if jobs > 1 and len(loops) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            items = list(pool.map(one, loop_specs))
+            items = list(pool.map(one, loops))
     else:
-        items = [one(s) for s in loop_specs]
+        items = [one(loop) for loop in loops]
     items.sort(key=lambda kv: kv[0])
     if len(items) == 1:
-        result = {"nu": _fmt(items[0][1])}
+        result = {"nu": items[0][1]}
     else:
-        result = {"nu": {k: _fmt(v) for k, v in items}}
+        result = {"nu": dict(items)}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
 
 def cmd_arc(cfg, jobs):
     _, params = cfg["model"]
     a = cfg["arc"]
-    path = topology.arc_path(a["start"], a["end"], a["via"], a["bulge"], a["n"])
+    path = _built("'arc'", topology.arc_path, a["start"], a["end"], a["via"], a["bulge"], a["n"])
     val = topology.arc_invariant(models.builder(params), path)
-    result = {"d_plus": _fmt(val)}
+    result = {"d_plus": val}
     return result, [(cfg["output"] + ".json", _dump_json(result))]
 
 
@@ -388,7 +397,7 @@ def cmd_trace(cfg, jobs):
     plane = parse_plane(cfg["plane"], params)
     line = tracer.trace_el(models.builder(params), cfg["seed_point"], cfg["step"], window, plane=plane)
     summary = {"closed": line.closed, "orientation": line.orientation, "n_vertices": len(line.polyline)}
-    payload = {**summary, "plane": line.plane_tag, "polyline": [[_fmt(c) for c in p] for p in line.polyline]}
+    payload = {**summary, "plane": line.plane_tag, "polyline": line.polyline}
     out = cfg["output"]
     return summary, [(out + ".json", _dump_json(payload)), (out + ".csv", _line_csv([line]))]
 
@@ -412,7 +421,7 @@ def cmd_chain(cfg, jobs):
         raise ConfigError(f"field 'traces': {exc}") from exc
     payload = {
         "valid": graph.valid,
-        "nodes": [{"position": [_fmt(c) for c in n.position], "in": n.n_in, "out": n.n_out} for n in graph.nodes],
+        "nodes": [{"position": n.position, "in": n.n_in, "out": n.n_out} for n in graph.nodes],
         "edges": [
             {"plane": e.line.plane_tag, "orientation": e.line.orientation, "start_node": e.start_node,
              "end_node": e.end_node, "n_vertices": len(e.line.polyline)}
@@ -429,7 +438,7 @@ def cmd_chain(cfg, jobs):
 def cmd_surface_audit(cfg, jobs):
     _, params = cfg["model"]
     kind, body = cfg["surface"]
-    surface = topology.box_surface(**body) if kind == "box" else topology.sphere_surface(**body)
+    surface = _built("'surface'", topology.box_surface if kind == "box" else topology.sphere_surface, **body)
     result = topology.surface_audit(models.builder(params), surface, cfg["punctures"], loop_radius=cfg["loop_radius"])
     payload = {"pfdns": list(result.pfdns), "total": result.total}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
@@ -459,7 +468,7 @@ def cmd_symmetry_check(cfg, jobs):
                 g[2] = gamma0 * g[0] / (2.0 * m0)
         samples.append((omega, g))
     res = symmetry.relation_residual(models.builder(params), rel, samples)
-    payload = {"relation": rel_name, "residual": _fmt(res), "n_samples": n}
+    payload = {"relation": rel_name, "residual": res, "n_samples": n}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
@@ -478,10 +487,10 @@ def cmd_latent_check(cfg, jobs):
         h_mapped = h
     res = symmetry.theorem2_crosscheck(h_mapped, h, models.SIGMA_X, symmetry.velocity_block(2), n_max=cfg["n_max"])
     payload = {
-        "latent_residual": _fmt(res.latent),
-        "reduction_residual": _fmt(res.reduction),
+        "latent_residual": res.latent,
+        "reduction_residual": res.reduction,
         "passed": res.passed,
-        "point": [_fmt(v) for v in g],
+        "point": g,
     }
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
@@ -494,12 +503,12 @@ def cmd_effective(cfg, jobs):
     exact_split = pf[1] - pf[0]
     shifts = eff.shifts
     payload = {
-        "omega0": _fmt(eff.omega0),
-        "valid_radius": _fmt(eff.valid_radius),
-        "h_eff": [[[_fmt(z.real), _fmt(z.imag)] for z in row] for row in eff.h_eff],
-        "shifts": _omega_list(shifts),
-        "effective_splitting": _omega_list([shifts[1] - shifts[0]])[0],
-        "exact_splitting": _omega_list([exact_split])[0],
+        "omega0": eff.omega0,
+        "valid_radius": eff.valid_radius,
+        "h_eff": eff.h_eff,
+        "shifts": shifts,
+        "effective_splitting": shifts[1] - shifts[0],
+        "exact_splitting": exact_split,
     }
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
@@ -507,14 +516,14 @@ def cmd_effective(cfg, jobs):
 def cmd_lattice_bands(cfg, jobs):
     _, params = cfg["model"]
     ky = float(lat.chain_point_coords(params)[1]) if cfg["ky"] == "chain-point" else cfg["ky"]
-    field = lat.band_slice(params, ky, grid=cfg["grid"], window=cfg["window"])
+    field = _built("'ky', 'grid' or 'window'", lat.band_slice, params, ky, grid=cfg["grid"], window=cfg["window"])
     rows = []
     for i, kx in enumerate(field.kx):
         for j, kz in enumerate(field.kz):
             w = field.omegas[i, j]
             rows.append([kx, kz, w[0].real, w[0].imag, w[1].real, w[1].imag])
     text = qep.csv_text(["kx", "kz", "re_w1", "im_w1", "re_w2", "im_w2"], rows)
-    return {"ky": _fmt(ky), "n_rows": len(rows), "bad_cells": len(field.bad_cells)}, [
+    return {"ky": ky, "n_rows": len(rows), "bad_cells": len(field.bad_cells)}, [
         (cfg["output"] + ".csv", text)
     ]
 
@@ -522,13 +531,13 @@ def cmd_lattice_bands(cfg, jobs):
 def cmd_chain_point(cfg, jobs):
     _, params = cfg["model"]
     k = lat.chain_point_coords(params)
-    payload = {"ky": _fmt(k[1]), "k": [_fmt(v) for v in k]}
+    payload = {"ky": k[1], "k": k}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
 def cmd_wavepacket(cfg, jobs):
     _, params = cfg["model"]
-    spec = lat.WavepacketSpec(**cfg["spec"])
+    spec = _built("'spec'", lat.WavepacketSpec, **cfg["spec"])
     times = cfg["times"]
     fields = lat.evolve_wavepacket(params, spec, times, slab=cfg["slab"])
     rows = []
@@ -540,7 +549,7 @@ def cmd_wavepacket(cfg, jobs):
             )
     header = ["t", "band", "centroid_z", "log_amplitude", "width_x", "width_z", "aspect", "boundary_flag"]
     g1, g2 = lat.max_growth_rates(params, spec)
-    payload = {"n_times": len(times), "max_growth": [_fmt(g1), _fmt(g2)]}
+    payload = {"n_times": len(times), "max_growth": [g1, g2]}
     files = [(cfg["output"] + ".csv", qep.csv_text(header, rows))]
     if cfg["dump_fields"]:
         for f in fields:
@@ -572,9 +581,9 @@ def cmd_fit(cfg, jobs):
         raise ConfigError(f"invalid fit model: {exc}") from exc
     result = retrieval.fit_parameters(spectra, model, starts=cfg["starts"], seed=cfg["seed"])
     payload = {
-        "params": {k: _fmt(v) for k, v in result.params.items()},
-        "rms_residual": _fmt(result.rms_residual),
-        "curvature": {k: _fmt(v) for k, v in result.curvature.items()},
+        "params": result.params,
+        "rms_residual": result.rms_residual,
+        "curvature": result.curvature,
     }
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 

@@ -1,13 +1,13 @@
-"""Dense complex linear-algebra and polynomial root-finding kernels.
+"""Matrix validation, the nullspace SVD and gauge fix behind eigenvectors,
+and polynomial root finding.
 
-Everything in this module is deterministic: fixed initial guesses, fixed
-iteration order, no randomness.  Identical inputs give bit-identical
-outputs, which the golden-file tests rely on.
+There is no dense eigendecomposition or linear solve here: eigenvalues come
+from LAPACK in `qep.solve`.  Everything in this module is deterministic:
+fixed initial guesses, fixed iteration order, no randomness.  Identical
+inputs give bit-identical outputs, which the golden-file tests rely on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ import numpy as np
 # symmetries (e.g. pure even/odd) without randomness.
 GOLDEN_ANGLE = np.pi * (np.sqrt(5.0) - 1.0)
 
-MAX_DENSE_DIM = 64
+NULLSPACE_RTOL = 1e-7
 
 
 class ConvergenceError(RuntimeError):
@@ -25,14 +25,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.residual = residual
-
-
-class SingularMatrixError(RuntimeError):
-    """Pivot/singular value below tolerance; carries the estimated rank."""
-
-    def __init__(self, message, rank=None):
-        super().__init__(message)
-        self.rank = rank
 
 
 def as_matrix(a) -> np.ndarray:
@@ -137,23 +129,17 @@ def poly_roots(coeffs, tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
     )
 
 
-def nullspace(a, rtol: float = 1e-7, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nullspace(a, scale: float) -> np.ndarray:
     """Near-nullspace basis of A from its SVD.
 
-    Returns (vectors, sigmas): columns of `vectors` are right singular
-    vectors whose singular value falls below rtol * scale (scale defaults
-    to sigma_max; at least the single smallest vector is always returned),
-    and `sigmas` are all singular values in descending order.
+    Columns are the right singular vectors whose singular value falls below
+    NULLSPACE_RTOL * scale; at least the single smallest one is returned.
     """
-    m = as_matrix(a)
-    _, s, vh = np.linalg.svd(m)
-    if scale is None:
-        scale = s[0] if s[0] > 0 else 1.0
-    keep = s < rtol * scale
+    _, s, vh = np.linalg.svd(as_matrix(a))
+    keep = s < NULLSPACE_RTOL * scale
     if not np.any(keep):
-        keep = np.zeros_like(keep)
         keep[-1] = True
-    return vh[keep].conj().T, s
+    return vh[keep].conj().T
 
 
 def gauge_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -168,21 +154,6 @@ def gauge_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return v * phase.conjugate()
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues with unit-norm gauge-fixed right eigenvectors (columns).
-
-    `near_defective` lists index clusters whose nullspace dimension fell
-    short of the algebraic multiplicity; the shared best vector is
-    replicated across such a cluster.  This is the exceptional-point
-    signature, not a failure.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    near_defective: tuple[tuple[int, ...], ...]
-
-
 def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     """Group already-sorted values into clusters of mutual distance < tol."""
     clusters: list[list[int]] = []
@@ -192,62 +163,3 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
-
-
-def eig_dense(a, tol: float = 1e-9) -> EigenDecomposition:
-    """Dense eigendecomposition with rank-revealing eigenvector extraction.
-
-    Eigenvalues come from LAPACK; each eigenvector is the smallest right
-    singular vector of (A - lambda I), so repeated eigenvalues either get an
-    orthonormal nullspace basis (diabolic degeneracy) or are flagged
-    near-defective (coalesced vectors).
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if n > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {n} exceeds desk-scale cap {MAX_DENSE_DIM}")
-    scale = np.linalg.norm(m, 2) or 1.0
-
-    values = np.linalg.eigvals(m)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-
-    vectors = np.zeros((n, n), dtype=complex)
-    defective: list[tuple[int, ...]] = []
-    eye = np.eye(n, dtype=complex)
-    for cluster in cluster_indices(values, 1e-6 * max(1.0, scale)):
-        center = values[cluster].mean()
-        basis, _ = nullspace(m - center * eye, rtol=1e-7, scale=scale)
-        mult = len(cluster)
-        dim = basis.shape[1]
-        if dim >= mult:
-            for j, idx in enumerate(cluster):
-                vectors[:, idx] = gauge_fix(basis[:, dim - mult + j])
-        else:
-            best = gauge_fix(basis[:, -1])
-            for idx in cluster:
-                vectors[:, idx] = best
-            defective.append(tuple(cluster))
-    return EigenDecomposition(values=values, vectors=vectors, near_defective=tuple(defective))
-
-
-def solve_linear(a, b, rcond: float = 1e-12) -> np.ndarray:
-    """Solve A x = b for square nonsingular A.
-
-    Raises SingularMatrixError (with the estimated rank) when the smallest
-    singular value falls below rcond * sigma_max.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    rhs = np.asarray(b, dtype=complex)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < rcond * s[0]:
-        rank = int(np.sum(s > rcond * (s[0] or 1.0)))
-        raise SingularMatrixError(
-            f"matrix singular within pivot tolerance (estimated rank {rank})",
-            rank=rank,
-        )
-    return np.linalg.solve(m, rhs)

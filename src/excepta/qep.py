@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,16 +66,11 @@ class QuadraticMatrixPolynomial:
             np.abs(self.damping.imag).max(),
         ) < REAL_TOL
 
-    def __call__(self, omega: complex) -> np.ndarray:
-        return evaluate(self, omega)
-
 
 @dataclass(frozen=True)
 class EigenPair:
     omega: complex
     right: np.ndarray
-    left: np.ndarray | None = None
-    band_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,10 +101,6 @@ class Spectrum:
     @property
     def ep_clusters(self) -> tuple[tuple[int, ...], ...]:
         return self._eigensystem()[1]
-
-    @property
-    def has_ep(self) -> bool:
-        return len(self.ep_clusters) > 0
 
 
 def evaluate(q: QuadraticMatrixPolynomial, omega: complex) -> np.ndarray:
@@ -177,7 +168,7 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
     for cluster in nk.cluster_indices(omegas, EP_OMEGA_RTOL * scale):
         center = omegas[cluster].mean()
         qc = evaluate(q, center)
-        basis, _ = nk.nullspace(qc, rtol=1e-7, scale=coeff_scale)
+        basis = nk.nullspace(qc, coeff_scale)
         mult = len(cluster)
         dim = basis.shape[1]
         if dim >= mult:
@@ -188,7 +179,7 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
             if mult > 1:
                 ep_clusters.append(tuple(cluster))
         for idx, vec in zip(cluster, vecs):
-            pairs.append(EigenPair(omega=complex(omegas[idx]), right=vec, band_index=idx))
+            pairs.append(EigenPair(omega=complex(omegas[idx]), right=vec))
     # Coalescence vs diabolic: only keep clusters whose vectors overlap.
     confirmed = []
     for cluster in ep_clusters:
@@ -196,15 +187,6 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
         if all(abs(np.vdot(v0, pairs[i].right)) > EP_OVERLAP for i in cluster[1:]):
             confirmed.append(cluster)
     return tuple(pairs), tuple(confirmed)
-
-
-def attach_left_vectors(q: QuadraticMatrixPolynomial, spectrum: Spectrum) -> Spectrum:
-    """Fill in left eigenvectors: nullspace of Q(w_n)^H, gauge-fixed."""
-    new_pairs = []
-    for p in spectrum.pairs:
-        basis, _ = nk.nullspace(evaluate(q, p.omega).conj().T)
-        new_pairs.append(replace(p, left=nk.gauge_fix(basis[:, -1])))
-    return replace(spectrum, _eigen=(tuple(new_pairs), spectrum.ep_clusters))
 
 
 def greens(q: QuadraticMatrixPolynomial, omega: complex, rtol: float = 1e-10) -> np.ndarray:
@@ -258,23 +240,3 @@ def csv_text(header, rows) -> str:
         writer.writerow([f"{v:.12g}" if isinstance(v, (float, np.floating)) else v for v in row])
     return buf.getvalue()
 
-
-def qmp_to_json(q: QuadraticMatrixPolynomial) -> dict:
-    """JSON object with complex entries encoded as [re, im] pairs."""
-
-    def enc(m: np.ndarray):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-    return {"M": enc(q.mass), "K": enc(q.stiffness), "G": enc(q.damping)}
-
-
-def qmp_from_json(obj: dict) -> QuadraticMatrixPolynomial:
-    def dec(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-    try:
-        return QuadraticMatrixPolynomial(
-            mass=dec(obj["M"]), stiffness=dec(obj["K"]), damping=dec(obj["G"])
-        )
-    except KeyError as exc:
-        raise ValueError(f"QMP object missing key {exc}") from exc

@@ -132,40 +132,13 @@ def _objective(model: FitModel, data: ResponseSpectra):
     return f
 
 
-def _quadratic_polish(f, x, lo, hi, rounds: int = 4):
-    """Coordinate-wise parabola steps with a shrinking probe; exact on quadratics."""
-    x = x.copy()
-    fx = f(x)
-    scales = np.maximum(np.abs(x), (hi - lo) * 1e-3)
-    for r in range(rounds):
-        h_rel = 10.0 ** (-(3 + r))
-        for i in range(len(x)):
-            h = scales[i] * h_rel
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] = min(x[i] + h, hi[i])
-            xm[i] = max(x[i] - h, lo[i])
-            fp, fm = f(xp), f(xm)
-            denom = fp - 2.0 * fx + fm
-            if denom > 0:
-                step = 0.5 * (fm - fp) / denom * h
-                trial = x.copy()
-                trial[i] = np.clip(x[i] + step, lo[i], hi[i])
-                ft = f(trial)
-                if ft < fx:
-                    x, fx = trial, ft
-            elif fp < fx or fm < fx:
-                x, fx = (xp, fp) if fp < fm else (xm, fm)
-    return x, fx
-
-
 def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, seed: int = 0) -> FitResult:
-    """Multi-start Nelder-Mead over the free parameters, then quadratic polish.
+    """Multi-start Nelder-Mead over the free parameters.
 
-    Starts are drawn uniformly inside the bounds from a seeded generator;
-    the winner is the (residual, then lexicographic-parameter) minimum, so
-    results are reproducible.  Derivative-free search is deliberate: the
-    magnitude curves have |.| kinks near antiresonances.
+    Starts come from a scrambled Sobol sequence inside the bounds, seeded,
+    and each runs one bounded Nelder-Mead descent; the winner is the
+    (residual, then lexicographic-parameter) minimum, so results are
+    reproducible.
     """
     from scipy.optimize import minimize  # imported here so synthesis alone loads no scipy
     from scipy.stats import qmc
@@ -182,23 +155,14 @@ def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, see
     start_points = lo + (hi - lo) * draw
 
     nm_options = {"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000, "maxfev": 6000}
-
-    def descend(point):
-        res = minimize(f, point, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=nm_options)
-        return _quadratic_polish(f, res.x, lo, hi)
-
     best = []
     f_init_best = min(f(s) for s in start_points)
     for s in start_points:
-        x, fx = descend(s)
-        best.append((fx, tuple(x)))
+        res = minimize(f, s, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=nm_options)
+        best.append((float(res.fun), tuple(res.x)))
     best.sort(key=lambda t: (t[0], t[1]))
     fx, x = best[0]
     x = np.array(x)
-    # A restart from the winner shakes off Nelder-Mead stalls.
-    x2, fx2 = descend(x)
-    if fx2 < fx:
-        x, fx = x2, fx2
     if fx >= f_init_best:
         raise ConvergenceError(
             "no start improved on its initial residual", best=model.assemble(x), residual=fx

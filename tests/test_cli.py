@@ -57,6 +57,13 @@ BAD_CONFIGS = {
     "sweep_ramp_n_string": ("sweep_experimental_chi", lambda c: c["ramp"].update(n="x")),
     "lattice_ky_bad_string": ("lattice_bands_small", lambda c: c.update(ky="abc")),
     "chain_same_line_twice": ("chain_theoretical", lambda c: c.update(traces=[c["traces"][0]] * 2)),
+    "trace_oblique_theoretical": ("trace_er", lambda c: c.update(plane="oblique")),
+    "circle_n_below_16": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(n=8)),
+    "lattice_grid_below_2": ("lattice_bands_small", lambda c: c.update(grid=[1, 16])),
+    "lattice_ky_outside_zone": ("lattice_bands_small", lambda c: c.update(ky=5.0)),
+    "arc_n_below_16": ("arc_one_chain", lambda c: c["arc"].update(n=8)),
+    "box_without_extent": ("surface_audit_box", lambda c: c["surface"]["box"].update(hi=c["surface"]["box"]["lo"])),
+    "wavepacket_grid_below_8": ("wavepacket_small", lambda c: c.update(spec={"grid": [4, 4]})),
 }
 
 # Keys where an explicit null means the default (None).

@@ -119,10 +119,16 @@ class TestLattice:
             models.LatticeParams(kx=3.5)
 
     def test_is_real_only_on_symmetry_planes(self):
+        # K is Hermitian exactly where sin kx sin ky = 0 (lattice_bloch_qmp's docstring).
         p = models.LatticeParams()
-        assert models.lattice_bloch_qmp(p.at((0.3, 0.0, 0.2))).is_real is False or True  # complex entries allowed
-        generic = models.lattice_bloch_qmp(p.at((0.3, 0.4, 0.2)))
-        assert np.abs(generic.stiffness.imag).max() > 0
+
+        def anti_hermitian(k):
+            stiffness = models.lattice_bloch_qmp(p.at(k)).stiffness
+            return np.abs(stiffness - stiffness.conj().T).max()
+
+        for k in [(0.3, 0.0, 0.2), (0.0, -0.4, 1.1), (np.pi, 0.4, -0.2), (0.3, -np.pi, 0.2)]:
+            assert anti_hermitian(k) < 1e-15
+        assert anti_hermitian((0.3, 0.4, 0.2)) > 0.1
 
 
 class TestGeometry:

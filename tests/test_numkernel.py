@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excepta import numkernel as nk
+from excepta import qep
 
 
 def poly_from_roots(roots, lead=1.0):
@@ -69,68 +70,6 @@ def multimax(a, b):
     return float(np.max(np.abs(np.sort_complex(np.asarray(a)) - np.sort_complex(np.asarray(b)))))
 
 
-class TestEigDense:
-    def test_identity_degenerate_orthonormal(self):
-        d = nk.eig_dense(np.eye(2))
-        assert np.allclose(d.values, 1.0)
-        assert d.near_defective == ()
-        overlap = abs(np.vdot(d.vectors[:, 0], d.vectors[:, 1]))
-        assert overlap < 1e-9
-
-    def test_diagonal(self):
-        d = nk.eig_dense(np.diag([3.0, -1j]))
-        assert multimax(d.values, [3.0, -1j]) < 1e-12
-        for i in range(2):
-            assert np.abs(d.vectors[:, i]).max() == pytest.approx(1.0, abs=1e-12)
-
-    def test_jordan_block_flagged(self):
-        d = nk.eig_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert len(d.near_defective) == 1
-
-    def test_trace_det_property(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            d = nk.eig_dense(m)
-            assert abs(d.values.sum() - np.trace(m)) / abs(np.trace(m)) < 1e-8
-            assert abs(np.prod(d.values) - np.linalg.det(m)) / abs(np.linalg.det(m)) < 1e-8
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(6, 6))
-        d = nk.eig_dense(m)
-        norm = np.linalg.norm(m, 2)
-        for i in range(6):
-            r = np.linalg.norm(m @ d.vectors[:, i] - d.values[i] * d.vectors[:, i])
-            assert r < 1e-9 * norm
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            nk.eig_dense(np.eye(65))
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(nk.solve_linear(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        assert np.allclose(nk.solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
-
-    def test_recovers_constructed_solution(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(4, 4)) + np.eye(4) * 3
-        x0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x = nk.solve_linear(a, a @ x0)
-        assert np.abs(x - x0).max() < 1e-12
-
-    def test_singular_raises_with_rank(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(nk.SingularMatrixError) as err:
-            nk.solve_linear(a, [1.0, 1.0])
-        assert err.value.rank == 1
-
-
 class TestHelpers:
     def test_gauge_fix_first_component_real_positive(self):
         v = np.array([0.0, 1j, 1.0])
@@ -152,14 +91,13 @@ class TestHelpers:
 
 
 def test_eig_dense_on_companion_form():
-    # Companion form of the two-oscillator problem at gamma = kappa = 0,
-    # chi = 0.1, dchi = -0.05: K eigenvalues kbar +- sqrt(chi (chi + dchi)),
-    # frequencies their square roots.
+    # The two-oscillator problem at gamma = kappa = 0, chi = 0.1,
+    # dchi = -0.05: K eigenvalues kbar +- sqrt(chi (chi + dchi)), frequencies
+    # their square roots, from the companion form inside qep.solve.
     k = np.array([[1.0, -0.1], [-0.05, 1.0]])
-    h = 1j * np.block([[np.zeros((2, 2)), np.eye(2)], [-k, np.zeros((2, 2))]])
-    d = nk.eig_dense(h)
+    spectrum = qep.solve(qep.QuadraticMatrixPolynomial(mass=np.eye(2), stiffness=k, damping=np.zeros((2, 2))))
     expected = sorted(
         [np.sqrt(1 + np.sqrt(0.005)), np.sqrt(1 - np.sqrt(0.005))], key=abs
     )
     expected = [-expected[1], -expected[0], expected[0], expected[1]]
-    assert multimax(d.values, expected) < 1e-10
+    assert multimax(spectrum.omegas, expected) < 1e-10
