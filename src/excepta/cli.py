@@ -102,10 +102,11 @@ def _leaf(expected: str, test, cast=None):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.loads reads NaN and Infinity, and an int can be too large for a float.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-NUMBER = _leaf("number", _is_number, float)
+NUMBER = _leaf("finite number", _is_number, float)
 INT = _leaf("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
 STR = _leaf("str", lambda v: isinstance(v, str))
 BOOL = _leaf("bool", lambda v: isinstance(v, bool))
@@ -195,7 +196,7 @@ PATH = one_of(
     points={"points": list_of(VEC3), "closed": (BOOL, True)},
 )
 AXES = ("gamma", "chi", "kappa")
-KY = _leaf("number or 'chain-point'", lambda v: v == "chain-point" or _is_number(v),
+KY = _leaf("finite number or 'chain-point'", lambda v: v == "chain-point" or _is_number(v),
            lambda v: v if isinstance(v, str) else float(v))
 PAIR = list_of(INT, 2)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LatticeParams, builder, lattice_bloch_qmp
-from .qep import csv_text, pf_bands, pf_omegas, solve
+from .qep import csv_text, frequency_clusters, pf_bands, pf_omegas, simple_vectors, solve
 from .topology import match_bands
 from .tracer import newton_on_line
 
@@ -71,7 +71,10 @@ def band_slice(
 
     Rows are matched left-to-right and each row to the one before it by
     minimal |delta omega|; nodes where the match margin is degenerate are
-    recorded in bad_cells rather than aborting.
+    recorded in bad_cells rather than aborting.  The loop solves for
+    frequencies only; the eigenvectors of every tracked band then come from
+    one stacked SVD.  A node whose spectrum has a frequency cluster (an EP
+    puncture) takes its vectors from its own `pf_bands` instead.
     """
     nx, nz = grid
     if nx < 2 or nz < 2:
@@ -80,23 +83,30 @@ def band_slice(
     kxs = np.linspace(kx0, kx1, nx)
     kzs = np.linspace(kz0, kz1, nz)
     omegas = np.zeros((nx, nz, 2), dtype=complex)
-    vectors = np.zeros((nx, nz, 2, 2), dtype=complex)
+    coeffs = np.zeros((3, nx, nz, 1, 2, 2), dtype=complex)  # M, K, G per node
+    clustered: dict[tuple[int, int], np.ndarray] = {}
     bad: list[tuple[int, int]] = []
 
     for i in range(nx):
         for j in range(nz):
-            pairs = pf_bands(solve(lattice_bloch_qmp(p.at((kxs[i], ky, kzs[j])))))
-            w = np.array([q.omega for q in pairs])
-            v = np.array([q.right for q in pairs])
+            q = lattice_bloch_qmp(p.at((kxs[i], ky, kzs[j])))
+            spectrum = solve(q)
+            w = pf_omegas(spectrum)
+            coeffs[:, i, j, 0] = q.mass, q.stiffness, q.damping
             if i == 0 and j == 0:
-                omegas[0, 0], vectors[0, 0] = w, v
-                continue
-            cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
-            omegas[i, j], vectors[i, j] = w[cols], v[cols]
-            # Band identity is genuinely ambiguous only where the bands nearly
-            # coalesce (an exceptional-line puncture of the slice).
-            if abs(w[cols[0]] - w[cols[1]]) < 1e-6 * max(1.0, np.abs(w).max()):
-                bad.append((i, j))
+                cols = [0, 1]
+            else:
+                cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
+                # Band identity is genuinely ambiguous only where the bands nearly
+                # coalesce (an exceptional-line puncture of the slice).
+                if abs(w[cols[0]] - w[cols[1]]) < 1e-6 * max(1.0, np.abs(w).max()):
+                    bad.append((i, j))
+            omegas[i, j] = w[cols]
+            if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
+                clustered[i, j] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
+    vectors = simple_vectors(*coeffs, omegas)
+    for cell, v in clustered.items():
+        vectors[cell] = v
     return BandField(
         kx=kxs, kz=kzs, ky=ky, omegas=omegas, vectors=vectors, bad_cells=tuple(bad)
     )

@@ -1,6 +1,9 @@
 """Matrix validation, the nullspace SVD and gauge fix behind eigenvectors,
 and polynomial root finding.
 
+`gauge_fix` acts along the last axis of a stack of vectors, bit-identical
+to fixing them one at a time.
+
 There is no dense eigendecomposition or linear solve here: eigenvalues come
 from LAPACK in `qep.solve`.  Everything in this module is deterministic:
 fixed initial guesses, fixed iteration order, no randomness.  Identical
@@ -143,14 +146,18 @@ def nullspace(a, scale: float) -> np.ndarray:
 
 
 def gauge_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Rotate phase so the first non-negligible component is real positive."""
+    """Rotate phase so the first non-negligible component is real positive.
+
+    Acts on each vector along the last axis of a stack.
+    """
     v = np.asarray(v, dtype=complex)
     mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
+    top = mags.max(axis=-1, keepdims=True)
+    if np.any(top == 0.0):
         raise ValueError("cannot gauge-fix a zero vector")
-    idx = int(np.argmax(mags > tol * top))
-    phase = v[idx] / abs(v[idx])
+    lead = np.take_along_axis(v, np.argmax(mags > tol * top, axis=-1)[..., None], axis=-1)
+    # np.hypot rounds like the scalar abs(); np.abs on an array does not always.
+    phase = lead / np.hypot(lead.real, lead.imag)
     return v * phase.conjugate()
 
 

@@ -144,49 +144,68 @@ def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
     return Spectrum(omegas=omegas, pf_gap_ok=_pf_gap_ok(omegas), qmp=q)
 
 
+def frequency_clusters(omegas: np.ndarray) -> list[list[int]]:
+    """Index groups of sorted eigenfrequencies closer than EP_OMEGA_RTOL * max(1, max|w|)."""
+    return nk.cluster_indices(omegas, EP_OMEGA_RTOL * max(1.0, np.abs(omegas).max()))
+
+
+def simple_vectors(mass, stiffness, damping, omegas) -> np.ndarray:
+    """Unit gauge-fixed right vectors of Q(w) at simple eigenfrequencies.
+
+    Each vector is the smallest right singular vector of Q(w).  The
+    coefficient arrays broadcast against omegas[..., None, None], so a whole
+    stack of frequencies (and of QMPs) takes one SVD call, bit-identical to
+    one call per matrix.
+    """
+    w = np.asarray(omegas)[..., None, None]
+    # np.power rounds like the scalar w**2 of `evaluate`; array w**2 does not.
+    _, _, vh = np.linalg.svd(np.power(w, 2) * mass - stiffness + 1j * w * damping)
+    return nk.gauge_fix(vh[..., -1, :].conj())
+
+
 def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
     """(pairs, ep_clusters) for sorted eigenfrequencies of q.
 
     Right vectors are unit-norm gauge-fixed nullspace vectors of Q(w_n) from
-    an SVD.  Clusters closer than EP_OMEGA_RTOL whose nullspace dimension
+    an SVD: one stacked SVD for all single roots, one nullspace SVD per
+    cluster.  Clusters closer than EP_OMEGA_RTOL whose nullspace dimension
     falls short of the multiplicity are flagged as exceptional when the
     extracted vectors overlap above EP_OVERLAP (orthogonal vectors mean a
     diabolic point).
     """
-    scale = max(1.0, np.abs(omegas).max())
-    # Coefficient scale: Q(w) evaluated exactly at a degeneracy can be the
-    # zero matrix (diabolic case), so the nullspace threshold must not be
-    # relative to Q(w) itself.
-    coeff_scale = max(
-        np.linalg.norm(q.mass, 2) * scale**2,
-        np.linalg.norm(q.stiffness, 2),
-        np.linalg.norm(q.damping, 2) * scale,
-    )
-
-    pairs: list[EigenPair] = []
+    clusters = frequency_clusters(omegas)
+    singles = [c[0] for c in clusters if len(c) == 1]
+    right = dict(zip(singles, simple_vectors(q.mass, q.stiffness, q.damping, omegas[singles])))
+    multiple = [c for c in clusters if len(c) > 1]
     ep_clusters: list[tuple[int, ...]] = []
-    for cluster in nk.cluster_indices(omegas, EP_OMEGA_RTOL * scale):
-        center = omegas[cluster].mean()
-        qc = evaluate(q, center)
-        basis = nk.nullspace(qc, coeff_scale)
+    if multiple:
+        scale = max(1.0, np.abs(omegas).max())
+        # Coefficient scale: Q(w) evaluated exactly at a degeneracy can be the
+        # zero matrix (diabolic case), so the nullspace threshold must not be
+        # relative to Q(w) itself.
+        coeff_scale = max(
+            np.linalg.norm(q.mass, 2) * scale**2,
+            np.linalg.norm(q.stiffness, 2),
+            np.linalg.norm(q.damping, 2) * scale,
+        )
+    for cluster in multiple:
+        basis = nk.nullspace(evaluate(q, omegas[cluster].mean()), coeff_scale)
         mult = len(cluster)
         dim = basis.shape[1]
         if dim >= mult:
             vecs = [nk.gauge_fix(basis[:, dim - mult + j]) for j in range(mult)]
         else:
-            best = nk.gauge_fix(basis[:, -1])
-            vecs = [best] * mult
-            if mult > 1:
-                ep_clusters.append(tuple(cluster))
-        for idx, vec in zip(cluster, vecs):
-            pairs.append(EigenPair(omega=complex(omegas[idx]), right=vec))
+            vecs = [nk.gauge_fix(basis[:, -1])] * mult
+            ep_clusters.append(tuple(cluster))
+        right.update(zip(cluster, vecs))
+    pairs = tuple(EigenPair(omega=complex(w), right=right[i]) for i, w in enumerate(omegas))
     # Coalescence vs diabolic: only keep clusters whose vectors overlap.
     confirmed = []
     for cluster in ep_clusters:
         v0 = pairs[cluster[0]].right
         if all(abs(np.vdot(v0, pairs[i].right)) > EP_OVERLAP for i in cluster[1:]):
             confirmed.append(cluster)
-    return tuple(pairs), tuple(confirmed)
+    return pairs, tuple(confirmed)
 
 
 def greens(q: QuadraticMatrixPolynomial, omega: complex, rtol: float = 1e-10) -> np.ndarray:

@@ -64,6 +64,8 @@ BAD_CONFIGS = {
     "arc_n_below_16": ("arc_one_chain", lambda c: c["arc"].update(n=8)),
     "box_without_extent": ("surface_audit_box", lambda c: c["surface"]["box"].update(hi=c["surface"]["box"]["lo"])),
     "wavepacket_grid_below_8": ("wavepacket_small", lambda c: c.update(spec={"grid": [4, 4]})),
+    "model_param_nan": ("solve_theoretical", lambda c: c["model"]["params"].update(chi=float("nan"))),
+    "loop_radius_infinity": ("surface_audit_box", lambda c: c.update(loop_radius=float("inf"))),
 }
 
 # Keys where an explicit null means the default (None).

@@ -4,10 +4,34 @@ import numpy as np
 import pytest
 
 from conftest import multiset_distance
-from excepta import lattice, models, qep, topology as topo
+from excepta import lattice, models, numkernel as nk, qep, topology as topo
 
 P = models.LatticeParams()  # kappa1=1.3, kappa2=-0.7, chi=0.5, dchi=0.4, gamma=0.7
 SMALL_SPEC = lattice.WavepacketSpec(grid=(16, 16))
+KY_CP = float(lattice.chain_point_coords(P)[1])
+NEEDLE_KX, NEEDLE_KZ = lattice.WavepacketSpec().axes()
+# (grid, window) at the chain-point ky; the odd 9 x 9 grid has a node on the
+# chain point itself, so one node's spectrum holds a frequency cluster.
+SLICES = {
+    "needle_window": ((64, 64), ((NEEDLE_KX[0], NEEDLE_KX[-1]), (NEEDLE_KZ[0], NEEDLE_KZ[-1]))),
+    "full_zone": ((16, 16), ((-np.pi, np.pi), (-np.pi, np.pi))),
+    "chain_point_odd": ((9, 9), ((-0.2, 0.2), (-0.2, 0.2))),
+}
+
+
+def per_point_vectors(field):
+    """Each node's own `pf_bands` vectors in the tracked band order, and the
+    number of nodes at an EP."""
+    vectors = np.empty_like(field.vectors)
+    eps = 0
+    for i, kx in enumerate(field.kx):
+        for j, kz in enumerate(field.kz):
+            spectrum = qep.solve(models.lattice_bloch_qmp(P.at((kx, field.ky, kz))))
+            pairs = qep.pf_bands(spectrum)
+            omegas = [pair.omega for pair in pairs]
+            vectors[i, j] = [pairs[omegas.index(w)].right for w in field.omegas[i, j]]
+            eps += bool(spectrum.ep_clusters)
+    return vectors, eps
 
 
 class TestChainPoint:
@@ -59,6 +83,27 @@ class TestBandSlice:
         loop = topo.circle_path(kcp, normal=(0, 1, 0), radius=0.06, n=64)
         nu = topo.energy_vorticity(topo.track_bands(build, loop))
         assert abs(abs(nu) - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("name", sorted(SLICES))
+    def test_vectors_equal_per_point_pairs(self, name):
+        grid, window = SLICES[name]
+        field = lattice.band_slice(P, KY_CP, grid=grid, window=window)
+        vectors, eps = per_point_vectors(field)
+        assert np.array_equal(field.vectors, vectors)
+        assert eps == int(name == "chain_point_odd")
+
+    def test_one_solve_per_node_and_nullspace_only_at_clusters(self, monkeypatch):
+        spectra, nullspaces = [], []
+        nullspace = nk.nullspace
+        monkeypatch.setattr(lattice, "solve", lambda q: spectra.append(qep.solve(q)) or spectra[-1])
+        monkeypatch.setattr(nk, "nullspace", lambda *args: nullspaces.append(args) or nullspace(*args))
+        grid, window = SLICES["chain_point_odd"]
+        lattice.band_slice(P, KY_CP, grid=grid, window=window)
+        assert len(spectra) == 81
+        calls = len(nullspaces)
+        # One EP node: its PF pair and the mirrored pair, one nullspace each.
+        assert [s.ep_clusters for s in spectra if s.ep_clusters] == [((0, 1), (2, 3))]
+        assert calls == 2
 
     def test_band_continuity(self):
         kcp = lattice.chain_point_coords(P)

@@ -85,12 +85,20 @@ class TestHelpers:
         g = nk.gauge_fix(v)
         assert np.abs(nk.gauge_fix(g) - g).max() < 1e-14
 
+    def test_gauge_fix_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+        v[0, 0, 0] = 0.0
+        stacked = nk.gauge_fix(v)
+        for idx in np.ndindex(5, 2):
+            assert np.array_equal(stacked[idx], nk.gauge_fix(v[idx]))
+
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             nk.as_matrix([[1.0, np.inf], [0.0, 1.0]])
 
 
-def test_eig_dense_on_companion_form():
+def test_solve_on_companion_form():
     # The two-oscillator problem at gamma = kappa = 0, chi = 0.1,
     # dchi = -0.05: K eigenvalues kbar +- sqrt(chi (chi + dchi)), frequencies
     # their square roots, from the companion form inside qep.solve.

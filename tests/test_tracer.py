@@ -223,11 +223,12 @@ class TestObliquePlane:
 class TestFrequencyOnlyPath:
     def test_tracking_and_refinement_compute_no_eigenvectors(self, theoretical_build, monkeypatch):
         # Discriminants, tracking and EP refinement read frequencies only, so
-        # the per-cluster nullspace SVD of the eigenvector path never runs.
+        # neither SVD of the eigenvector path (per cluster or stacked) runs.
         def forbidden(*args, **kwargs):
             raise AssertionError("eigenvector SVD on a frequency-only path")
 
         monkeypatch.setattr(nk, "nullspace", forbidden)
+        monkeypatch.setattr(qep, "simple_vectors", forbidden)
         loop = topology.circle_path((0.0, 0.025, 0.0), (0.0, -1.0, 0.0), 0.1, 64)
         tb = topology.track_bands(theoretical_build, loop)
         assert abs(topology.energy_vorticity(tb) - 1.0) < 1e-3
