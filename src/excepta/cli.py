@@ -28,7 +28,6 @@ from .numkernel import ConvergenceError
 NUMERICAL_ERRORS = (
     ConvergenceError,
     qep.SpectralGapError,
-    qep.NearSingularError,
     topology.TrackingError,
     topology.IsolationError,
     tracer.RefineError,
@@ -575,12 +574,14 @@ def cmd_fit(cfg, jobs):
     data_path = Path(cfg["data"])
     if not data_path.exists():
         raise ConfigError(f"field 'data': file {data_path} does not exist")
-    spectra = retrieval.spectra_from_csv(data_path.read_text())
+    spectra = _built("'data'", retrieval.spectra_from_csv, data_path.read_text())
     try:
         model = retrieval.FitModel(free=cfg["free"], bounds=cfg["bounds"], fixed=cfg["fixed"])
     except ValueError as exc:
         raise ConfigError(f"invalid fit model: {exc}") from exc
-    result = retrieval.fit_parameters(spectra, model, starts=cfg["starts"], seed=cfg["seed"])
+    result = _built(
+        "'starts' or 'data'", retrieval.fit_parameters, spectra, model, starts=cfg["starts"], seed=cfg["seed"]
+    )
     payload = {
         "params": result.params,
         "rms_residual": result.rms_residual,

@@ -25,14 +25,6 @@ class SpectralGapError(RuntimeError):
     """No real line gap at Re(w) = 0."""
 
 
-class NearSingularError(RuntimeError):
-    """Q(w) evaluated too close to an eigenfrequency."""
-
-    def __init__(self, message, nearest=None):
-        super().__init__(message)
-        self.nearest = nearest
-
-
 @dataclass(frozen=True)
 class QuadraticMatrixPolynomial:
     """Coefficient triple (mass, stiffness, damping), all N x N, mass nonsingular."""
@@ -206,20 +198,6 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
         if all(abs(np.vdot(v0, pairs[i].right)) > EP_OVERLAP for i in cluster[1:]):
             confirmed.append(cluster)
     return pairs, tuple(confirmed)
-
-
-def greens(q: QuadraticMatrixPolynomial, omega: complex, rtol: float = 1e-10) -> np.ndarray:
-    """Transfer matrix G(w) = Q(w)^-1 away from eigenfrequencies."""
-    qw = evaluate(q, omega)
-    s = np.linalg.svd(qw, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < rtol * s[0]:
-        spec = solve(q)
-        nearest = spec.omegas[np.argmin(np.abs(spec.omegas - omega))]
-        raise NearSingularError(
-            f"Q({omega}) is singular within tolerance; nearest eigenfrequency {nearest}",
-            nearest=nearest,
-        )
-    return np.linalg.solve(qw, np.eye(q.dim, dtype=complex))
 
 
 def particle_hole_residual(spectrum: Spectrum) -> float:

@@ -4,7 +4,8 @@ The observable is the driven steady-state magnitude |c G_mn(2 pi f)| of the
 transfer matrix G = Q^-1 for excitation at oscillator n and readout at m.
 Fitting those four magnitude curves recovers the stiffness/damping
 parameters of the loss-biased two-oscillator model; magnitudes only, as
-phases are not used.
+phases are not used.  The fit is bounded trust-region least squares on the
+exact Jacobian d|G_mn|, which follows from dG = -G dQ G.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class ResponseSpectra:
         object.__setattr__(self, "curves", c)
 
 
-def response_magnitudes(params: dict, freqs) -> np.ndarray:
-    """c |G_mn(2 pi f)| for the loss-biased pair at m0 = 1.
+def _transfer(params: dict, freqs) -> np.ndarray:
+    """G(2 pi f) = Q^-1 for the loss-biased pair at m0 = 1, shape (2, 2, F).
 
     Closed-form 2x2 inverse vectorized over the frequency axis.
     """
@@ -59,12 +60,44 @@ def response_magnitudes(params: dict, freqs) -> np.ndarray:
     q21 = -k21 + 0j * w
     q22 = w**2 - k22 + 1j * w * g22
     det = q11 * q22 - q12 * q21
-    out = np.empty((2, 2, len(w)))
-    out[0, 0] = np.abs(q22 / det)
-    out[0, 1] = np.abs(-q12 / det)
-    out[1, 0] = np.abs(-q21 / det)
-    out[1, 1] = np.abs(q11 / det)
-    return params["c"] * out
+    return np.array([[q22 / det, -q12 / det], [-q21 / det, q11 / det]])
+
+
+def response_magnitudes(params: dict, freqs) -> np.ndarray:
+    """c |G_mn(2 pi f)| for the loss-biased pair at m0 = 1."""
+    return params["c"] * np.abs(_transfer(params, freqs))
+
+
+# dQ/dp = A + i w B for every parameter p but the response scale c, with Q
+# as in `_transfer`: stiffness terms enter -K, damping terms i w G.
+_DQ = {
+    "kappa0": ([[-1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "gamma0": ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    "chi": ([[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "dchi": ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "kappa": ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "gamma": ([[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, -0.5]]),
+}
+
+
+def _jacobian(params: dict, freqs, free) -> np.ndarray:
+    """d(c |G_mn(2 pi f)|)/d(free), shape (4 F, len(free)), rows in (m, n, f) order.
+
+    dG = -G dQ G gives d|G| = Re(conj(G) dG) / |G|.  Where |G_mn| = 0 (the
+    G_21 zero at chi + dchi = 0 lies inside usual bounds) the magnitude has
+    no derivative; its column entries are set to 0.
+    """
+    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    g = _transfer(params, freqs)
+    mag = np.abs(g)
+    names = [p for p in free if p != "c"]
+    a = np.array([_DQ[p][0] for p in names])[..., None]
+    b = np.array([_DQ[p][1] for p in names])[..., None]
+    dg = -np.einsum("maf,pabf,bnf->pmnf", g, a + 1j * w * b, g)
+    num = np.real(np.conj(g) * dg)
+    dmag = np.divide(num, mag, out=np.zeros_like(num), where=mag > 0)
+    columns = dict(zip(names, params["c"] * dmag), c=mag)
+    return np.stack([columns[p].reshape(-1) for p in free], axis=1)
 
 
 def synth_response(params: dict, freqs, noise: float = 0.0, seed: int = 0) -> ResponseSpectra:
@@ -122,44 +155,58 @@ class FitResult:
     curvature: dict
 
 
-def _objective(model: FitModel, data: ResponseSpectra):
-    target = data.curves
-
-    def f(theta):
-        pred = response_magnitudes(model.assemble(theta), data.freqs)
-        return float(np.sum((pred - target) ** 2))
-
-    return f
+# Simplex evaluations per free parameter before the trust-region phase.
+# Trust-region descents straight from the Sobol starts often settle in the
+# sign-flipped chi + dchi basin; a short bounded Nelder-Mead walk first
+# moves most starts out of it.  The walk is a fixed budget, not a
+# tolerance: least squares does the converging.
+SIMPLEX_EVALS_PER_PARAM = 10
 
 
 def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, seed: int = 0) -> FitResult:
-    """Multi-start Nelder-Mead over the free parameters.
+    """Multi-start bounded least squares over the free parameters.
 
-    Starts come from a scrambled Sobol sequence inside the bounds, seeded,
-    and each runs one bounded Nelder-Mead descent; the winner is the
-    (residual, then lexicographic-parameter) minimum, so results are
-    reproducible.
+    Starts come from a scrambled Sobol sequence inside the bounds, seeded.
+    Each runs a short bounded Nelder-Mead walk, then the trust-region
+    reflective least-squares method (Branch, Coleman and Li, 1999) on the
+    exact Jacobian of the magnitudes.  The winner is the (residual, then
+    lexicographic-parameter) minimum, so results are reproducible.
     """
-    from scipy.optimize import minimize  # imported here so synthesis alone loads no scipy
+    from scipy.optimize import least_squares, minimize  # imported here so synthesis alone loads no scipy
     from scipy.stats import qmc
 
+    if starts < 1:
+        raise ValueError("need at least one start")
     if len(data.freqs) < 50:
         raise ValueError("need at least 50 frequency samples")
     lo = np.array([model.bounds[n][0] for n in model.free])
     hi = np.array([model.bounds[n][1] for n in model.free])
-    f = _objective(model, data)
+
+    def residuals(theta):
+        return (response_magnitudes(model.assemble(theta), data.freqs) - data.curves).reshape(-1)
+
+    def f(theta):
+        return float(np.sum(residuals(theta) ** 2))
+
+    def jacobian(theta):
+        return _jacobian(model.assemble(theta), data.freqs, model.free)
+
     # Scrambled low-discrepancy starts cover the box far more evenly than
     # iid draws, which matters when a secondary least-squares basin exists.
     sobol = qmc.Sobol(d=len(model.free), scramble=True, seed=seed)
     draw = sobol.random(int(2 ** np.ceil(np.log2(max(starts, 2)))))[:starts]
     start_points = lo + (hi - lo) * draw
 
-    nm_options = {"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000, "maxfev": 6000}
+    nm_options = {"maxfev": SIMPLEX_EVALS_PER_PARAM * len(model.free)}
     best = []
     f_init_best = min(f(s) for s in start_points)
     for s in start_points:
-        res = minimize(f, s, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=nm_options)
-        best.append((float(res.fun), tuple(res.x)))
+        walk = minimize(f, s, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=nm_options)
+        res = least_squares(
+            residuals, walk.x, jac=jacobian, bounds=(lo, hi), method="trf", x_scale="jac",
+            ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        )
+        best.append((f(res.x), tuple(res.x)))
     best.sort(key=lambda t: (t[0], t[1]))
     fx, x = best[0]
     x = np.array(x)

@@ -49,6 +49,7 @@ BAD_CONFIGS = {
     "unknown_relation": ("symmetry_gamma", lambda c: c.update(relation="nope")),
     "fit_free_without_bounds": ("fit_demo", lambda c: c["bounds"].pop("c")),
     "fit_unknown_free": ("fit_demo", lambda c: c.update(free=c["free"] + ["bogus"])),
+    "fit_starts_zero": ("fit_demo", lambda c: c.update(starts=0)),
     "circle_radius_bool": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(radius=True)),
     "circle_n_fractional": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(n=64.5)),
     "circle_n_integral_float": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(n=64.0)),
@@ -151,6 +152,18 @@ class TestExitCodes:
         res = run_cli(["chain", "--config", str(path), "--out", str(tmp_path)])
         assert res.returncode == 2
         assert "lines 0 and 1 trace the same exceptional line" in json.loads(res.stderr)["message"]
+
+    @pytest.mark.parametrize("rows", ["first_30", "no_header"])
+    def test_fit_bad_data_names_data(self, rows, tmp_path):
+        lines = (GOLDENS / "synth_demo.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "data.csv"
+        data.write_text("".join(lines[:31] if rows == "first_30" else lines[1:]))
+        cfg = edited_config("fit_demo", lambda c: c.update(data=str(data)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli(["fit", "--config", str(path), "--out", str(tmp_path)])
+        assert res.returncode == 2, res.stderr
+        assert "'data'" in json.loads(res.stderr)["message"]
 
     @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_spoiled_numbers_exit_2(self, config, tmp_path, capsys):

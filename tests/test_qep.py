@@ -164,43 +164,6 @@ class TestKernel:
         assert np.array_equal(qep.pf_omegas(s), [p.omega for p in qep.pf_bands(s)])
 
 
-class TestGreens:
-    def test_single_oscillator_static(self):
-        q = QMP(mass=2.0 * np.eye(1), stiffness=5.0 * np.eye(1), damping=np.zeros((1, 1)))
-        assert np.allclose(qep.greens(q, 0.0), [[-1 / 5.0]])
-
-    def test_uncoupled_pair(self):
-        g = qep.greens(uncoupled(), 2.0)
-        assert np.allclose(g, np.diag([1 / 3.0, 1 / 3.0]))
-
-    def test_inverse_property(self):
-        rng = np.random.default_rng(8)
-        q = theoretical_qmp(TheoreticalParams(gamma=0.3, chi=0.06, kappa=0.04))
-        for _ in range(20):
-            w = complex(rng.normal(scale=2), rng.normal(scale=0.5))
-            g = qep.greens(q, w)
-            assert np.abs(g @ qep.evaluate(q, w) - np.eye(2)).max() < 1e-10
-
-    def test_near_singular_names_nearest_eigenfrequency(self):
-        q = split_model()
-        target = np.sqrt(1 + np.sqrt(0.005))
-        with pytest.raises(qep.NearSingularError) as err:
-            qep.greens(q, target)
-        assert abs(err.value.nearest - target) < 1e-6
-
-    def test_peaks_near_pf_frequencies(self):
-        # |G11| along real frequency peaks near Re of the PF eigenfrequencies.
-        p = ExperimentalParams(kappa0=1.0, gamma0=0.02, dchi=-0.073, chi=0.12)
-        q = experimental_qmp(p)
-        pf = qep.pf_bands(qep.solve(q))
-        ws = np.linspace(0.7, 1.4, 1401)
-        mag = np.array([abs(qep.greens(q, w)[0, 0]) for w in ws])
-        peaks = [ws[i] for i in range(1, len(ws) - 1) if mag[i] > mag[i - 1] and mag[i] > mag[i + 1]]
-        assert len(peaks) == 2
-        for peak, band in zip(sorted(peaks), pf):
-            assert abs(peak - band.omega.real) < 5e-3
-
-
 class TestParticleHole:
     def test_trivial_pair(self):
         s = qep.solve(QMP(mass=np.eye(1), stiffness=np.eye(1), damping=np.zeros((1, 1))))

@@ -42,10 +42,21 @@ class TestSynth:
         q = models.experimental_qmp(p)
         s = rt.synth_response(TRUTH, FREQS[:40])
         for i, f in enumerate(FREQS[:40]):
-            g = qep.greens(q, 2 * np.pi * f)
+            g = np.linalg.inv(qep.evaluate(q, 2 * np.pi * f))
             for m in range(2):
                 for n in range(2):
                     assert s.curves[m, n, i] == pytest.approx(abs(g[m, n]), rel=1e-10)
+
+    def test_transfer_inverts_q(self):
+        # The complex G, phases included, which the Jacobian differentiates.
+        params = dict(TRUTH, kappa=40.0, gamma=1.5)
+        p = models.ExperimentalParams(
+            kappa0=K0, gamma0=TRUTH["gamma0"], dchi=TRUTH["dchi"], chi=TRUTH["chi"], kappa=40.0, gamma=1.5
+        )
+        q = models.experimental_qmp(p)
+        g = rt._transfer(params, FREQS)
+        for i, f in enumerate(FREQS):
+            assert np.abs(g[:, :, i] @ qep.evaluate(q, 2 * np.pi * f) - np.eye(2)).max() < 1e-10
 
     def test_peaks_near_pf_resonances(self):
         # Resonances resolve only when the splitting beats the linewidth
@@ -78,6 +89,37 @@ class TestSynth:
         assert not np.array_equal(a.curves, c.curves)
 
 
+class TestJacobian:
+    # Central-difference steps: absolute, sized to each parameter's scale.
+    STEPS = dict(kappa0=1e-3, gamma0=1e-6, chi=1e-3, dchi=1e-3, kappa=1e-3, gamma=1e-6, c=1e-6)
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            p = dict(
+                kappa0=rng.uniform(3000.0, 6000.0),
+                gamma0=rng.uniform(1.0, 20.0),
+                chi=rng.uniform(100.0, 800.0),
+                dchi=rng.uniform(-800.0, -10.0),
+                kappa=rng.uniform(-100.0, 100.0),
+                gamma=rng.uniform(-2.0, 2.0),
+                c=rng.uniform(0.2, 5.0),
+            )
+            jac = rt._jacobian(p, FREQS, rt.PARAM_NAMES)
+            for i, name in enumerate(rt.PARAM_NAMES):
+                h = self.STEPS[name]
+                up = rt.response_magnitudes(dict(p, **{name: p[name] + h}), FREQS)
+                down = rt.response_magnitudes(dict(p, **{name: p[name] - h}), FREQS)
+                fd = ((up - down) / (2 * h)).reshape(-1)
+                assert np.abs(jac[:, i] - fd).max() < 1e-7 * np.abs(fd).max(), name
+
+    def test_finite_where_g21_vanishes(self):
+        # chi + dchi = 0 lies inside the default bounds; |G_21| is 0 there.
+        p = dict(TRUTH, dchi=-TRUTH["chi"])
+        assert rt.response_magnitudes(p, FREQS)[1, 0].max() == 0.0
+        assert np.all(np.isfinite(rt._jacobian(p, FREQS, MODEL.free)))
+
+
 class TestFit:
     def test_zero_noise_round_trip(self):
         data = rt.synth_response(TRUTH, FREQS)
@@ -104,6 +146,12 @@ class TestFit:
     def test_requires_c_free(self):
         with pytest.raises(ValueError):
             rt.FitModel(free=("kappa0",), bounds={"kappa0": (1.0, 2.0)})
+
+    def test_requires_a_start(self):
+        data = rt.synth_response(TRUTH, FREQS)
+        for starts in (0, -3):
+            with pytest.raises(ValueError, match="at least one start"):
+                rt.fit_parameters(data, MODEL, starts=starts)
 
     def test_requires_enough_samples(self):
         data = rt.synth_response(TRUTH, FREQS[:30])
@@ -171,3 +219,15 @@ class TestCouplingSweep:
             data = rt.synth_response(truth, FREQS, noise=0.01, seed=7)
             res = rt.fit_parameters(data, MODEL, starts=8, seed=70)
             assert abs(res.params["chi"] - truth["chi"]) / truth["chi"] < 0.05
+
+    def test_no_fit_stops_above_the_truth_residual(self):
+        # The sign-flipped chi + dchi basin holds a local minimum about 25
+        # times the noise floor; a fit that ends there has a larger residual
+        # than the true parameters themselves.
+        for chi_over_k0 in (0.038, 0.082, 0.140):
+            truth = dict(TRUTH, chi=chi_over_k0 * K0)
+            for seed in range(10):
+                data = rt.synth_response(truth, FREQS, noise=0.01, seed=seed)
+                res = rt.fit_parameters(data, MODEL, starts=8, seed=1000 + seed)
+                at_truth = np.sum((rt.response_magnitudes(truth, FREQS) - data.curves) ** 2)
+                assert res.rms_residual**2 * data.curves.size <= at_truth, (chi_over_k0, seed)
