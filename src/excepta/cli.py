@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +364,8 @@ def cmd_vorticity(cfg, jobs):
         return name, topology.energy_vorticity(topology.track_bands(build, path), i, j)
 
     if jobs > 1 and len(loops) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             items = list(pool.map(one, loops))
     else:

@@ -1,5 +1,6 @@
 """Matrix validation, the nullspace SVD and gauge fix behind eigenvectors,
-and polynomial root finding.
+polynomial root finding, and the minimum-cost assignment behind band
+matching.
 
 `gauge_fix` acts along the last axis of a stack of vectors, bit-identical
 to fixing them one at a time.
@@ -11,6 +12,8 @@ inputs give bit-identical outputs, which the golden-file tests rely on.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -170,3 +173,26 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
+
+
+def min_cost_assignment(a: np.ndarray, b: np.ndarray, power: int) -> np.ndarray:
+    """Column order of `b` minimizing sum |a_i - b_col(i)|**power.
+
+    Up to two entries (the two positive-frequency bands of a 2x2 model) the
+    identity and the swap are compared directly, and the swap wins only on a
+    strictly smaller finite sum, so exact ties keep the identity.  Larger,
+    rectangular or non-finite problems go to scipy's linear_sum_assignment,
+    imported only then.
+    """
+    n = len(a)
+    if n == len(b) and n <= 2:
+        x, y = a.tolist(), b.tolist()
+        keep = sum([abs(p - q) ** power for p, q in zip(x, y)])
+        swap = sum([abs(p - q) ** power for p, q in zip(x, y[::-1])])
+        if keep < math.inf and not swap < keep:
+            return np.arange(n)
+        if swap < math.inf:  # only reachable at n = 2: otherwise swap == keep
+            return np.array([1, 0])
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(np.abs(a[:, None] - b[None, :]) ** power)[1]

@@ -205,13 +205,9 @@ def particle_hole_residual(spectrum: Spectrum) -> float:
 
     Zero (below 1e-9) for the spectrum of any real QMP.
     """
-    from scipy.optimize import linear_sum_assignment
-
     w = spectrum.omegas
     target = -w.conj()
-    cost = np.abs(w[:, None] - target[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(np.abs(w - target[nk.min_cost_assignment(w, target, 1)]).max())
 
 
 def pf_omegas(spectrum: Spectrum) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkernel import min_cost_assignment
 from .qep import Spectrum, pf_omegas, solve
 
 QUANTIZATION_TOL = 1e-3
@@ -136,10 +137,7 @@ def _band_frequencies(build, point, pf_only: bool) -> np.ndarray:
 
 def match_bands(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Column order of `new` minimizing sum |delta w|^2 against `prev`."""
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(prev[:, None] - new[None, :]) ** 2
-    return linear_sum_assignment(cost)[1]
+    return min_cost_assignment(prev, new, 2)
 
 
 def _min_separation(w: np.ndarray) -> float:

@@ -224,8 +224,8 @@ class TestExitCodes:
 
 
 class TestColdStart:
-    # scipy is imported inside the functions that use it (band matching, the
-    # particle-hole residual, fitting), so no import path loads it.
+    # scipy is imported inside the functions that use it (fitting, and band
+    # matchings above two bands), so no import path loads it.
     @pytest.mark.parametrize(
         "statement",
         [
@@ -261,8 +261,27 @@ class TestColdStart:
         assert self.loaded_after_cli_import("scipy.stats") == "False"
 
     def test_cli_import_skips_scipy_optimize(self):
-        # Band matching and the particle-hole residual import it when called.
+        # Only fit, and matchings above two bands, import it when called.
         assert self.loaded_after_cli_import("scipy.optimize") == "False"
+
+    @pytest.mark.parametrize("stem", ["vorticity_fig1_loops", "trace_er", "sweep_experimental_chi"])
+    def test_band_matching_commands_load_no_scipy(self, stem, tmp_path):
+        # The loop tracker, the probe orientation and the sweep matcher.
+        cfg = CONFIGS / f"{stem}.json"
+        args = [config_command(cfg), "--config", str(cfg), "--out", str(tmp_path)]
+        res = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys; from excepta import cli; rc = cli.main({args!r}); print(); "
+                "print(rc, [m for m in sys.modules if m.startswith('scipy')])",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 []"
 
     def test_no_module_level_scipy_import(self):
         for source in sorted((REPO / "src" / "excepta").glob("*.py")):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import multiset_distance
+from scipy.optimize import linear_sum_assignment
 
 from excepta import models, qep, topology as topo
 
@@ -62,6 +64,46 @@ class TestTrackBands:
         pts[:, 1] = np.linspace(-0.02, 0.02, 17)
         with pytest.raises(topo.TrackingError):
             topo.track_bands(theoretical_build, topo.ParameterPath(points=pts, closed=False))
+
+
+class TestMatchBands:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reaches_the_optimal_cost(self, n):
+        rng = np.random.default_rng(40 + n)
+        rows = np.arange(n)
+        for trial in range(60):
+            if trial % 2:  # a coarse grid, so equal-cost assignments are common
+                prev = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
+                new = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
+            else:
+                prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+                new = rng.normal(size=n) + 1j * rng.normal(size=n)
+            cost = np.abs(prev[:, None] - new[None, :]) ** 2
+            cols = topo.match_bands(prev, new)
+            assert sorted(cols.tolist()) == rows.tolist()
+            best = cost[rows, linear_sum_assignment(cost)[1]].sum()
+            assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("w", [[1.0], [1.0, 1.0], [2 + 1j, 2 + 1j]])
+    def test_exact_tie_keeps_identity(self, w):
+        w = np.array(w, dtype=complex)
+        assert topo.match_bands(w, w.copy()).tolist() == list(range(len(w)))
+
+    def test_non_finite_frequency_raises_like_scipy(self):
+        with pytest.raises(ValueError):
+            topo.match_bands(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [2, 8, 24])  # 4, 16 and 48 eigenfrequencies
+    def test_particle_hole_residual_is_the_multiset_distance(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            q = qep.QuadraticMatrixPolynomial(
+                mass=np.diag(rng.uniform(0.5, 2, n)),
+                stiffness=rng.normal(size=(n, n)),
+                damping=0.4 * rng.normal(size=(n, n)),
+            )
+            s = qep.solve(q)
+            assert qep.particle_hole_residual(s) == multiset_distance(s.omegas, -s.omegas.conj())
 
 
 class TestEnergyVorticity:
