@@ -3,7 +3,8 @@
     excepta <command> --config cfg.json [--out DIR] [--seed N] [--jobs N]
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(diagnostics as JSON on stderr).  All floats are printed with 12
+(diagnostics as JSON on stderr: error, message, and the point/value or
+best/residual the failure carries).  All floats are printed with 12
 significant digits and JSON keys are sorted, so artifacts are stable
 golden files for a fixed seed.  SCHEMAS lists each command's config keys
 with their kinds and defaults.
@@ -632,10 +633,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        fields = {k: getattr(exc, k, None) for k in ("point", "value", "best", "residual")}
+        diagnostic = {"error": type(exc).__name__, "message": str(exc)}
+        diagnostic.update((k, v) for k, v in fields.items() if v is not None)
+        print(json.dumps(_round_floats(diagnostic)), file=sys.stderr)
         return 3
     print(_dump_json(summary), end="")
     return 0

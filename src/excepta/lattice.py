@@ -20,6 +20,8 @@ from .qep import csv_text, frequency_clusters, pf_bands, pf_omegas, simple_vecto
 from .topology import match_bands
 from .tracer import newton_on_line
 
+BOUNDARY_TOL = 1e-6
+
 
 class ChainPointError(ValueError):
     """The closed form has no solution on the ky axis for these parameters."""
@@ -49,8 +51,9 @@ def chain_point_coords(p: LatticeParams) -> np.ndarray:
 class BandField:
     """PF bands tracked over a fixed-ky (kx, kz) grid.
 
-    `bad_cells` marks grid nodes where continuation was ambiguous (band
-    separation at the matching threshold), typically EL punctures.
+    `bad_cells` marks grid nodes whose spectrum has a frequency cluster
+    (`qep.frequency_clusters`), where band identity is ambiguous: EL
+    punctures of the slice.
     """
 
     kx: np.ndarray
@@ -70,8 +73,8 @@ def band_slice(
     """Track the two PF bands over a (kx, kz) grid at fixed ky.
 
     Rows are matched left-to-right and each row to the one before it by
-    minimal |delta omega|; nodes where the match margin is degenerate are
-    recorded in bad_cells rather than aborting.  The loop solves for
+    minimal |delta omega|; nodes with a frequency cluster are recorded in
+    bad_cells rather than aborting.  The loop solves for
     frequencies only; the eigenvectors of every tracked band then come from
     one stacked SVD.  A node whose spectrum has a frequency cluster (an EP
     puncture) takes its vectors from its own `pf_bands` instead.
@@ -97,12 +100,9 @@ def band_slice(
                 cols = [0, 1]
             else:
                 cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
-                # Band identity is genuinely ambiguous only where the bands nearly
-                # coalesce (an exceptional-line puncture of the slice).
-                if abs(w[cols[0]] - w[cols[1]]) < 1e-6 * max(1.0, np.abs(w).max()):
-                    bad.append((i, j))
             omegas[i, j] = w[cols]
             if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
+                bad.append((i, j))
                 clustered[i, j] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
     vectors = simple_vectors(*coeffs, omegas)
     for cell, v in clustered.items():
@@ -221,7 +221,6 @@ def evolve_wavepacket(
     times,
     slab: tuple[int, int] = (256, 256),
     ky: float | None = None,
-    boundary_tol: float = 1e-6,
 ) -> list[WaveField]:
     """Spectral time evolution of the two-band wavepacket over a slab.
 
@@ -229,6 +228,8 @@ def evolve_wavepacket(
     evaluated as two matrix products per band and component (the k-sum is
     separable in x and z).  Trapezoid weights on the fixed k-grid make the
     quadrature deterministic; evolving 2 A0 gives exactly doubled fields.
+    A snapshot is boundary-contaminated when its largest edge amplitude
+    exceeds BOUNDARY_TOL of its peak.
     """
     if ky is None:
         ky = float(chain_point_coords(p)[1])
@@ -271,7 +272,7 @@ def evolve_wavepacket(
             np.abs(total[:, :, 0]).max(),
             np.abs(total[:, :, -1]).max(),
         )
-        contaminated = edge > boundary_tol * np.abs(total).max()
+        contaminated = edge > BOUNDARY_TOL * np.abs(total).max()
         out.append(
             WaveField(
                 t=float(t),

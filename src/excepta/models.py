@@ -7,8 +7,7 @@ Three families share the synthetic parameter point g = (gamma, chi, kappa):
 * lattice      -- Bloch form of a 3D two-sublattice mass-spring crystal,
                   where g is replaced by the wavevector k.
 
-Also here: the geometry-to-stiffness map of the physical arms and the
-quasi-degenerate two-band reduction.
+Also here: the quasi-degenerate two-band reduction.
 """
 
 from __future__ import annotations
@@ -104,36 +103,9 @@ class LatticeParams:
             if abs(getattr(self, name)) > np.pi + 1e-9:
                 raise ValueError(f"{name} outside the first Brillouin zone")
 
-    @property
-    def k(self) -> np.ndarray:
-        return np.array([self.kx, self.ky, self.kz])
-
     def at(self, k) -> "LatticeParams":
         k = np.asarray(k, dtype=float)
         return replace(self, kx=k[0], ky=k[1], kz=k[2])
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Spring/arm geometry of the physical setup (lengths in meters)."""
-
-    k1: float
-    k2: float
-    l1: float
-    l2: float
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        for name in ("l1", "l2", "r1", "r2", "r4", "d1", "d2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.r3 < 0:
-            raise ValueError("r3 must be nonnegative")
 
 
 def theoretical_qmp(p: TheoreticalParams) -> QuadraticMatrixPolynomial:
@@ -249,30 +221,6 @@ def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
     if delta_k is None:
         return build
     return lambda g: perturb_stiffness(build(g), delta_k)
-
-
-def experimental_builder(m0=1.0, kappa0=1.0, gamma0=0.085, dchi=-0.073):
-    return builder(ExperimentalParams(m0=m0, kappa0=kappa0, gamma0=gamma0, dchi=dchi))
-
-
-def geometry_to_stiffness(geo: Geometry) -> tuple[float, float, float]:
-    """(chi, kappa0, kappa) from the spring geometry.
-
-    chi = 2 k2 r3^2; kappa0 comes from the linearized restoring torque of
-    the upper beam springs at radius r1, and kappa0 - kappa from the lower
-    ones at r2, so kappa vanishes when r2 = r1.
-    """
-
-    def beam_term(r):
-        root = np.sqrt(geo.d1**2 + (r - geo.r4) ** 2)
-        return 2.0 * geo.k1 * geo.r4 * (
-            r - geo.l1 * r / root + geo.d1**2 * geo.l1 * geo.r4 / root**3
-        )
-
-    chi = 2.0 * geo.k2 * geo.r3**2
-    kappa0 = beam_term(geo.r1)
-    kappa = kappa0 - beam_term(geo.r2)
-    return chi, kappa0, kappa
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ import numpy as np
 
 from . import numkernel as nk
 
-REAL_TOL = 1e-14
 PF_GAP_RTOL = 1e-6
 EP_OMEGA_RTOL = 1e-6
-EP_OVERLAP = 1.0 - 1e-6
+# |D+| a traced exceptional-line vertex reaches; a pair of frequencies split
+# by up to its square root, relative to max(1, max|w|), is a candidate EP.
+VERTEX_TOL = 1e-8
 
 
 class SpectralGapError(RuntimeError):
@@ -50,14 +51,6 @@ class QuadraticMatrixPolynomial:
     def dim(self) -> int:
         return self.mass.shape[0]
 
-    @property
-    def is_real(self) -> bool:
-        return max(
-            np.abs(self.mass.imag).max(),
-            np.abs(self.stiffness.imag).max(),
-            np.abs(self.damping.imag).max(),
-        ) < REAL_TOL
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -69,30 +62,27 @@ class EigenPair:
 class Spectrum:
     """All 2N eigenfrequencies of a QMP, sorted by (Re, Im).
 
-    The eigenpairs and `ep_clusters` are computed from `qmp` once, on first
-    access, so frequency-only callers never pay for eigenvectors.
-    `ep_clusters` lists index groups whose eigenvectors coalesced
-    (near-defective: the exceptional-point signal); degenerate groups with
-    orthogonal vectors are diabolic and not listed.
+    The eigenpairs are computed from `qmp` once, on first access, so
+    frequency-only callers never pay for eigenvectors.  `ep_clusters` is
+    `exceptional_pairs(qmp, omegas)`, the one exceptional-versus-diabolic
+    rule: a close pair is exceptional when Q at its centre keeps rank N - 1.
+    It needs no eigenvectors.
     """
 
     omegas: np.ndarray
     pf_gap_ok: bool
     qmp: QuadraticMatrixPolynomial = field(repr=False)
-    _eigen: tuple | None = field(default=None, repr=False)
-
-    def _eigensystem(self) -> tuple:
-        if self._eigen is None:
-            object.__setattr__(self, "_eigen", _eigenpairs(self.qmp, self.omegas))
-        return self._eigen
+    _pairs: tuple | None = field(default=None, repr=False)
 
     @property
     def pairs(self) -> tuple[EigenPair, ...]:
-        return self._eigensystem()[0]
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _eigenpairs(self.qmp, self.omegas))
+        return self._pairs
 
     @property
-    def ep_clusters(self) -> tuple[tuple[int, ...], ...]:
-        return self._eigensystem()[1]
+    def ep_clusters(self) -> tuple[tuple[int, int], ...]:
+        return exceptional_pairs(self.qmp, self.omegas)
 
 
 def evaluate(q: QuadraticMatrixPolynomial, omega: complex) -> np.ndarray:
@@ -129,15 +119,58 @@ def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
 
     LAPACK's eigenvalues of `linearize(q)` are backward stable (Tisseur and
     Meerbergen, SIAM Review 43, 2001); eigenvectors wait for first access
-    to `pairs` or `ep_clusters`.
+    to `pairs`.
     """
     omegas = np.linalg.eigvals(linearize(q))
     omegas = omegas[np.lexsort((omegas.imag, omegas.real))]
     return Spectrum(omegas=omegas, pf_gap_ok=_pf_gap_ok(omegas), qmp=q)
 
 
+def _coefficient_scale(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> float:
+    # Q(w) evaluated exactly at a diabolic degeneracy can be the zero matrix,
+    # so thresholds on it are relative to the coefficients, not to Q(w).
+    scale = max(1.0, np.abs(omegas).max())
+    return max(
+        np.linalg.norm(q.mass, 2) * scale**2,
+        np.linalg.norm(q.stiffness, 2),
+        np.linalg.norm(q.damping, 2) * scale,
+    )
+
+
+def exceptional_pairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i < j) of eigenfrequencies of q that coalesce at an exceptional point.
+
+    A pair is a candidate when |w_i - w_j| <= sqrt(VERTEX_TOL) * max(1, max|w|).
+    At the pair centre c, Q(c) of a diabolic pair has a two-dimensional
+    near-nullspace, so its second-smallest singular value is at most
+    splitting * ||Q'(c)||; an exceptional pair keeps rank N - 1 (Seyranian,
+    Kirillova and Mailybaev, J. Phys. A 38, 2005).  The pair is exceptional
+    when sigma_{N-1} > 10 * max(splitting * ||Q'||, floor), with the floor
+    at rounding level relative to the coefficients, so an exactly degenerate
+    diabolic pair stays diabolic.  A double root of N = 1 is always
+    exceptional.
+    """
+    scale = max(1.0, np.abs(omegas).max())
+    close = np.abs(omegas[:, None] - omegas[None, :]) <= np.sqrt(VERTEX_TOL) * scale
+    candidates = [tuple(ij) for ij in np.argwhere(np.triu(close, 1)).tolist()]
+    if q.dim == 1 or not candidates:
+        return tuple(candidates)
+    floor = 1e-13 * _coefficient_scale(q, omegas)
+    pairs = []
+    for i, j in candidates:
+        center = 0.5 * (omegas[i] + omegas[j])
+        dq_norm = np.linalg.norm(2.0 * center * q.mass + 1j * q.damping, 2)
+        sigmas = np.linalg.svd(evaluate(q, center), compute_uv=False)
+        if sigmas[-2] > 10.0 * max(abs(omegas[i] - omegas[j]) * dq_norm, floor):
+            pairs.append((i, j))
+    return tuple(pairs)
+
+
 def frequency_clusters(omegas: np.ndarray) -> list[list[int]]:
-    """Index groups of sorted eigenfrequencies closer than EP_OMEGA_RTOL * max(1, max|w|)."""
+    """Index groups of sorted eigenfrequencies closer than EP_OMEGA_RTOL * max(1, max|w|).
+
+    Frequencies this close share one nullspace SVD for their eigenvectors.
+    """
     return nk.cluster_indices(omegas, EP_OMEGA_RTOL * max(1.0, np.abs(omegas).max()))
 
 
@@ -155,31 +188,20 @@ def simple_vectors(mass, stiffness, damping, omegas) -> np.ndarray:
     return nk.gauge_fix(vh[..., -1, :].conj())
 
 
-def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
-    """(pairs, ep_clusters) for sorted eigenfrequencies of q.
+def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[EigenPair, ...]:
+    """Eigenpairs for sorted eigenfrequencies of q.
 
     Right vectors are unit-norm gauge-fixed nullspace vectors of Q(w_n) from
     an SVD: one stacked SVD for all single roots, one nullspace SVD per
-    cluster.  Clusters closer than EP_OMEGA_RTOL whose nullspace dimension
-    falls short of the multiplicity are flagged as exceptional when the
-    extracted vectors overlap above EP_OVERLAP (orthogonal vectors mean a
-    diabolic point).
+    frequency cluster.  A cluster whose nullspace is smaller than its
+    multiplicity (a defective pair) repeats its one vector.
     """
     clusters = frequency_clusters(omegas)
     singles = [c[0] for c in clusters if len(c) == 1]
     right = dict(zip(singles, simple_vectors(q.mass, q.stiffness, q.damping, omegas[singles])))
     multiple = [c for c in clusters if len(c) > 1]
-    ep_clusters: list[tuple[int, ...]] = []
     if multiple:
-        scale = max(1.0, np.abs(omegas).max())
-        # Coefficient scale: Q(w) evaluated exactly at a degeneracy can be the
-        # zero matrix (diabolic case), so the nullspace threshold must not be
-        # relative to Q(w) itself.
-        coeff_scale = max(
-            np.linalg.norm(q.mass, 2) * scale**2,
-            np.linalg.norm(q.stiffness, 2),
-            np.linalg.norm(q.damping, 2) * scale,
-        )
+        coeff_scale = _coefficient_scale(q, omegas)
     for cluster in multiple:
         basis = nk.nullspace(evaluate(q, omegas[cluster].mean()), coeff_scale)
         mult = len(cluster)
@@ -188,16 +210,8 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple:
             vecs = [nk.gauge_fix(basis[:, dim - mult + j]) for j in range(mult)]
         else:
             vecs = [nk.gauge_fix(basis[:, -1])] * mult
-            ep_clusters.append(tuple(cluster))
         right.update(zip(cluster, vecs))
-    pairs = tuple(EigenPair(omega=complex(w), right=right[i]) for i, w in enumerate(omegas))
-    # Coalescence vs diabolic: only keep clusters whose vectors overlap.
-    confirmed = []
-    for cluster in ep_clusters:
-        v0 = pairs[cluster[0]].right
-        if all(abs(np.vdot(v0, pairs[i].right)) > EP_OVERLAP for i in cluster[1:]):
-            confirmed.append(cluster)
-    return pairs, tuple(confirmed)
+    return tuple(EigenPair(omega=complex(w), right=right[i]) for i, w in enumerate(omegas))
 
 
 def particle_hole_residual(spectrum: Spectrum) -> float:

@@ -231,29 +231,23 @@ def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, see
     )
 
 
-def chi_parabola_fit(points, through_origin: bool = False) -> tuple[float, float, float]:
+def chi_parabola_fit(points) -> tuple[float, float, float]:
     """Least squares of chi = a0 + a2 r^2 over (r, chi) points.
 
-    Returns (a0, a2, rms_residual); with through_origin the constant term
-    is pinned to zero.  Two distinct |r| values (or one, when pinned)
-    determine the fit exactly.
+    Returns (a0, a2, rms_residual).  Two distinct |r| values determine the
+    fit exactly.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValueError("need at least two (r, chi) points")
     r2 = pts[:, 0] ** 2
     y = pts[:, 1]
-    if through_origin:
-        design = r2[:, None]
-    else:
-        design = np.stack([np.ones_like(r2), r2], axis=1)
+    design = np.stack([np.ones_like(r2), r2], axis=1)
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise ValueError("degenerate abscissae: r values do not determine the fit")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = design @ coef - y
     rms = float(np.sqrt(np.mean(resid**2)))
-    if through_origin:
-        return 0.0, float(coef[0]), rms
     return float(coef[0]), float(coef[1]), rms
 
 

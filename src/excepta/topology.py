@@ -27,6 +27,7 @@ QUANTIZATION_TOL = 1e-3
 JUMP_FRACTION = 0.1
 MIN_SEPARATION = 1e-8
 MAX_BISECTIONS = 48
+ARC_ENDPOINT_TOL = 1e-10
 
 
 class TrackingError(RuntimeError):
@@ -51,9 +52,6 @@ class ParameterPath:
         if len(pts) < 16:
             raise ValueError("path needs at least 16 points")
         object.__setattr__(self, "points", pts)
-
-    def reversed(self) -> "ParameterPath":
-        return ParameterPath(points=self.points[::-1].copy(), closed=self.closed)
 
 
 def _frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,8 +211,11 @@ def _winding(values: np.ndarray) -> float:
 def energy_vorticity(tb: TrackedBands, m: int = 0, n: int = 1) -> float:
     """Winding of arg(w_m - w_n) along a closed tracked loop, in turns.
 
-    Half-quantized: the loop's final bands are a permutation of its initial
-    ones, so twice the value counts the net braid exchanges.
+    Half-quantized when the loop's band permutation maps the pair {m, n}
+    onto itself, which always holds for two bands: twice the value then
+    counts the pair's net braid exchanges.  Otherwise the difference ends
+    on another pair of bands and the value need not be a half-integer: one
+    loop of an N = 3 model winds by 0.592, 0.5 and 0.408 over its pairs.
     """
     if not tb.closed:
         raise ValueError("energy vorticity is defined on closed loops")
@@ -267,7 +268,7 @@ def discriminant_number(build, path: ParameterPath, which: str = "pf") -> float:
     return 2.0 * total
 
 
-def arc_invariant(build, arc: ParameterPath, endpoint_tol: float = 1e-10) -> float:
+def arc_invariant(build, arc: ParameterPath) -> float:
     """PF-discriminant winding along an open arc ending on the gamma=kappa=0 line.
 
     On that line the PF discriminant is real, so the accumulated phase is
@@ -282,8 +283,8 @@ def arc_invariant(build, arc: ParameterPath, endpoint_tol: float = 1e-10) -> flo
         if max(abs(end[0]), abs(end[2])) > 1e-9:
             raise ValueError("arc endpoints must lie on the gamma = kappa = 0 line")
     for label, end in (("start", arc.points[0]), ("end", arc.points[-1])):
-        if abs(pf_discriminant(solve(build(end)))) < endpoint_tol:
-            raise ValueError(f"arc {label}point is degenerate (|discriminant| < {endpoint_tol})")
+        if abs(pf_discriminant(solve(build(end)))) < ARC_ENDPOINT_TOL:
+            raise ValueError(f"arc {label}point is degenerate (|discriminant| < {ARC_ENDPOINT_TOL})")
     return 2.0 * _pairwise_winding_sum(track_bands(build, arc, pf_only=True))
 
 

@@ -16,14 +16,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import topology as topo
-from .qep import SpectralGapError, evaluate, pf_omegas, solve
+from .qep import VERTEX_TOL, SpectralGapError, pf_omegas, solve
 from .topology import circle_path, discriminant_number
 
-VERTEX_TOL = 1e-8
+# Newton iterations of one refine_ep call, and the steepest-descent step used
+# when the Newton step vanishes.
+REFINE_MAX_ITER = 60
+REFINE_STEP_FLOOR = 1e-10
+# Predictor-corrector steps per direction of one trace_el march.
+TRACE_MAX_STEPS = 4000
 
 
 class DiabolicPointError(RuntimeError):
-    """Degeneracy with orthogonal eigenvectors: not exceptional."""
+    """Degeneracy with two independent eigenvectors: not exceptional."""
 
 
 class DuplicateLineError(ValueError):
@@ -197,17 +202,15 @@ def refine_ep(
     seed,
     plane: PlaneSpec | None = None,
     delta_tol: float = 1e-12,
-    step_tol: float = 1e-10,
-    max_iter: int = 60,
     check_coalescence: bool = True,
 ) -> np.ndarray:
     """Damped Newton root-solve of (Re D+, Im D+) = 0 from a candidate seed.
 
     In-plane the second component vanishes identically, so the pseudo-inverse
     step lands on the nearest point of the zero curve.  Stagnating Newton
-    falls back to steepest descent of |D+|^2.  The converged point must show
-    eigenvector coalescence, which separates exceptional from diabolic
-    degeneracies.
+    falls back to steepest descent of |D+|^2.  With check_coalescence the
+    converged PF pair must be among the spectrum's `ep_clusters`, which
+    separates exceptional from diabolic degeneracies.
     """
     seed = np.asarray(seed, dtype=float)
     if plane is not None:
@@ -233,7 +236,7 @@ def refine_ep(
     current = size(x)
     if not np.isfinite(current):
         raise RefineError("seed lies outside the line-gapped region", point=seed)
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         if current < delta_tol:
             break
         f0, jac = _fd_jacobian(f, x)
@@ -255,7 +258,7 @@ def refine_ep(
             if norm == 0:
                 break
             direction /= norm
-            scale = np.linalg.norm(step) or step_tol
+            scale = np.linalg.norm(step) or REFINE_STEP_FLOOR
             for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32):
                 trial = x + damp * scale * direction
                 trial_size = size(trial)
@@ -270,35 +273,14 @@ def refine_ep(
             f"EP refinement stalled at |D+| = {current:.3e}", point=to_point(x), value=current
         )
     point = to_point(x)
-    if check_coalescence and not _is_coalescent(build, point):
-        raise DiabolicPointError(
-            f"degeneracy at {point} has a full nullspace (orthogonal eigenvectors): not exceptional"
-        )
+    if check_coalescence:
+        spectrum = solve(build(point))
+        pf = spectrum.omegas.real > 0
+        if not any(pf[i] and pf[j] for i, j in spectrum.ep_clusters):
+            raise DiabolicPointError(
+                f"degeneracy at {point} keeps a two-dimensional nullspace (diabolic): not exceptional"
+            )
     return np.asarray(point, dtype=float)
-
-
-def _is_coalescent(build, point) -> bool:
-    """Exceptional vs diabolic discrimination at a refined degeneracy.
-
-    At the cluster-center frequency, Q splits into a defect part plus a term
-    of order splitting * dQ/dw.  A diabolic point has no defect (the second
-    smallest singular value scales with the splitting); an exceptional one
-    keeps a finite defect there.
-    """
-    q = build(np.asarray(point, dtype=float))
-    pf = pf_omegas(solve(q))
-    pair = min(
-        ((i, j) for i in range(len(pf)) for j in range(i + 1, len(pf))),
-        key=lambda ij: abs(pf[ij[0]] - pf[ij[1]]),
-    )
-    wa, wb = pf[pair[0]], pf[pair[1]]
-    center = 0.5 * (wa + wb)
-    splitting = abs(wa - wb)
-    qc = evaluate(q, center)
-    dq_norm = np.linalg.norm(2.0 * center * q.mass + 1j * q.damping, 2)
-    sigmas = np.linalg.svd(qc, compute_uv=False)
-    defect = sigmas[-2] if len(sigmas) >= 2 else sigmas[-1]
-    return bool(defect > 10.0 * splitting * max(dq_norm, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -399,15 +381,14 @@ def trace_el(
     step: float,
     window,
     plane: PlaneSpec | None = None,
-    max_steps: int = 4000,
-    orient: bool = True,
 ) -> ExceptionalLine:
     """Predictor-corrector continuation of an exceptional line.
 
     Stops on loop closure (a new segment passing the start point) or when
     leaving the axis-aligned `window` (lo, hi).  Open traces run both
     directions from the start and are concatenated.  Every vertex is
-    corrector-refined to |D+| < VERTEX_TOL.
+    corrector-refined to |D+| < VERTEX_TOL, and the line is oriented by a
+    probe loop of radius 3 * step.
     """
     start = refine_ep(build, start, plane=plane, check_coalescence=False)
 
@@ -416,7 +397,7 @@ def trace_el(
         # Jacobian tangent to launch, secant tangents while marching; the
         # corrector keeps the polyline on the zero set either way.
         tangent = _tangent_from_jacobian(build, start, plane) * direction_sign
-        for _ in range(max_steps):
+        for _ in range(TRACE_MAX_STEPS):
             current = pts[-1]
             local_step = step
             for _ in range(7):
@@ -454,7 +435,7 @@ def trace_el(
         backward, _ = march(-1.0)
         polyline = np.array(backward[::-1] + forward[1:])
         line = ExceptionalLine(polyline=polyline, closed=False, plane_tag=plane.tag if plane else "free")
-    return _orient(build, line, 3.0 * step) if orient else line
+    return _orient(build, line, 3.0 * step)
 
 
 @dataclass(frozen=True)
@@ -558,16 +539,16 @@ def assemble_chain(
     edges: list[ExceptionalLine],
     junction_tol: float,
     refine_line: tuple | None = None,
-    probe_radius: float | None = None,
 ) -> ChainGraph:
     """Merge traced lines into a junction graph with flux bookkeeping.
 
     Junction nodes come from closest approaches (and endpoint collisions)
     between distinct lines within `junction_tol`; optionally each node is
     re-refined along a given high-symmetry line (origin, direction).  Edges
-    are split at the nodes, re-oriented by probe loops near their midpoints,
-    and each node's in/out counts are compared; an unbalanced node flags the
-    graph invalid, which is the detection mechanism for broken symmetry.
+    are split at the nodes, re-oriented by probe loops (radius three median
+    steps) near their midpoints, and each node's in/out counts are compared;
+    an unbalanced node flags the graph invalid, which is the detection
+    mechanism for broken symmetry.
     Raises DuplicateLineError when all vertices of one input line lie within
     half a step of another, i.e. the same line was traced twice.
     """
@@ -610,8 +591,6 @@ def assemble_chain(
 
     # Split the edges at the nodes and snap the cut vertices.
     graph_edges: list[GraphEdge] = []
-    if probe_radius is None:
-        probe_radius = 3.0 * median_step
     for line in lines:
         hits = []
         for node_id, node in enumerate(nodes):
@@ -631,7 +610,7 @@ def assemble_chain(
                 closed=line.closed and start_node is None and end_node is None,
                 plane_tag=line.plane_tag,
             )
-            sub = _orient(build, sub, probe_radius)
+            sub = _orient(build, sub, 3.0 * median_step)
             graph_edges.append(GraphEdge(line=sub, start_node=start_node, end_node=end_node))
 
     # Flux bookkeeping per node.

@@ -219,7 +219,7 @@ def test_criterion_7_particle_hole_and_subspace_spectra():
     assert worst < 1e-9
 
     g0 = 0.085
-    build = models.experimental_builder(gamma0=g0, dchi=-0.073)
+    build = models.builder(models.ExperimentalParams(gamma0=g0, dchi=-0.073))
     worst_sub = 0.0
     for _ in range(100):
         gam = rng.normal() * 0.3

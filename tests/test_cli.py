@@ -222,6 +222,20 @@ class TestExitCodes:
         assert res.returncode == 3
         assert json.loads(res.stderr)["error"] == "TrackingError"
 
+    def test_numerical_failure_reports_its_point(self, tmp_path):
+        # At kappa = 3 one band frequency is imaginary: the seed has no line gap.
+        def seed_without_gap(cfg):
+            cfg["seed_point"] = [0.0, 0.0, 3.0]
+            cfg["window"]["hi"][2] = 3.5
+
+        cfg = tmp_path / "gapless.json"
+        cfg.write_text(json.dumps(edited_config("trace_er", seed_without_gap)))
+        res = run_cli(["trace", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.returncode == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "RefineError"
+        assert err["point"] == [0.0, 0.0, 3.0]
+
 
 class TestColdStart:
     # scipy is imported inside the functions that use it (fitting, and band

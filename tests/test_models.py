@@ -64,7 +64,7 @@ class TestExperimental:
         assert all(9.0 < f < 12.0 for f in freqs)
 
     def test_gamma_sub_relation_on_plane(self):
-        build = models.experimental_builder(gamma0=0.085)
+        build = models.builder(models.ExperimentalParams(gamma0=0.085))
         rng = np.random.default_rng(4)
         samples = [
             (complex(rng.normal(), rng.normal()), np.array([0.0, rng.normal() * 0.3, rng.normal() * 0.3]))
@@ -75,7 +75,7 @@ class TestExperimental:
 
     def test_kappa_sub_relation_on_oblique_plane(self):
         g0 = 0.085
-        build = models.experimental_builder(gamma0=g0)
+        build = models.builder(models.ExperimentalParams(gamma0=g0))
         rng = np.random.default_rng(5)
         samples = []
         for _ in range(100):
@@ -129,33 +129,6 @@ class TestLattice:
         for k in [(0.3, 0.0, 0.2), (0.0, -0.4, 1.1), (np.pi, 0.4, -0.2), (0.3, -np.pi, 0.2)]:
             assert anti_hermitian(k) < 1e-15
         assert anti_hermitian((0.3, 0.4, 0.2)) > 0.1
-
-
-class TestGeometry:
-    GEO = models.Geometry(
-        k1=100.0, k2=120.0, l1=0.05, l2=0.06, r1=0.085, r2=0.085, r3=0.03, r4=0.0865, d1=0.1, d2=0.1
-    )
-
-    def test_zero_r3_zero_coupling(self):
-        import dataclasses
-
-        chi, _, _ = models.geometry_to_stiffness(dataclasses.replace(self.GEO, r3=0.0))
-        assert chi == 0.0
-
-    def test_equal_radii_zero_kappa(self):
-        chi, kappa0, kappa = models.geometry_to_stiffness(self.GEO)
-        assert kappa == pytest.approx(0.0, abs=1e-15)
-        assert chi == pytest.approx(2 * 120.0 * 0.03**2)
-        assert kappa0 > 0
-
-    def test_kappa_decreases_with_r2(self):
-        import dataclasses
-
-        vals = []
-        for r2 in (0.07, 0.085, 0.11):
-            _, _, kappa = models.geometry_to_stiffness(dataclasses.replace(self.GEO, r2=r2))
-            vals.append(kappa)
-        assert vals[0] > vals[1] > vals[2]
 
 
 class TestEffectiveTwoBand:

@@ -36,7 +36,7 @@ class TestPolyRoots:
         assert resid < 1e-12
         assert np.allclose(roots, 1 + 2j, atol=1e-3)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.lists(
             st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False),

@@ -41,11 +41,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QMP(mass=np.zeros((2, 2)), stiffness=np.eye(2), damping=np.zeros((2, 2)))
 
-    def test_is_real_flag(self):
-        assert split_model().is_real
-        q = QMP(mass=np.eye(2), stiffness=np.eye(2) * (1 + 1e-10j), damping=np.zeros((2, 2)))
-        assert not q.is_real
-
 
 class TestEvaluate:
     def test_omega_zero_gives_minus_stiffness(self):
@@ -106,6 +101,20 @@ class TestSolve:
         assert multiset_distance(s.omegas, SPLIT_OMEGAS) < 1e-10
         pf = qep.pf_bands(s)
         assert abs(np.vdot(pf[0].right, pf[1].right)) < 1 - 1e-3
+
+    def test_damped_exact_diabolic_pair_not_exceptional(self):
+        # Q(w) is a scalar times I: every root is a double root with two vectors.
+        s = qep.solve(QMP(mass=np.eye(2), stiffness=1.7 * np.eye(2), damping=0.1 * np.eye(2)))
+        assert s.ep_clusters == ()
+
+    def test_single_oscillator_double_root_is_exceptional(self):
+        # Critical damping g^2 = 4 m k: the double root w = -i is defective.
+        s = qep.solve(QMP(mass=np.eye(1), stiffness=np.eye(1), damping=2.0 * np.eye(1)))
+        assert s.ep_clusters == ((0, 1),)
+
+    def test_ep_clusters_need_no_eigenvectors(self, monkeypatch):
+        monkeypatch.setattr(qep, "_eigenpairs", lambda *args: pytest.fail("eigenvectors computed"))
+        assert qep.solve(ep_model()).ep_clusters == ((0, 1), (2, 3))
 
     def test_ep_flagged_with_coalesced_vector(self):
         s = qep.solve(ep_model())

@@ -168,32 +168,12 @@ class TestParabola:
         assert a2 == pytest.approx(85.0, abs=1e-8)
         assert resid < 1e-12
 
-    def test_geometry_sweep_has_no_offset(self):
-        geo = models.Geometry(
-            k1=100.0, k2=120.0, l1=0.05, l2=0.06, r1=0.085, r2=0.085, r3=0.0, r4=0.0865, d1=0.1, d2=0.1
-        )
-        import dataclasses
-
-        pts = []
-        for r3 in (0.01, 0.02, 0.03, 0.04):
-            chi, kappa0, _ = models.geometry_to_stiffness(dataclasses.replace(geo, r3=r3))
-            pts.append((r3, chi / kappa0))
-        a0, a2, _ = rt.chi_parabola_fit(np.array(pts))
-        assert abs(a0) < 1e-12
-        assert a2 > 0
-
     def test_two_points_exact_interpolation(self):
         pts = np.array([[0.01, 0.05], [0.03, 0.13]])
         a0, a2, resid = rt.chi_parabola_fit(pts)
         assert resid < 1e-14
         for r, y in pts:
             assert a0 + a2 * r**2 == pytest.approx(y, abs=1e-12)
-
-    def test_origin_constrained(self):
-        pts = np.array([[0.02, 85.0 * 0.02**2], [0.04, 85.0 * 0.04**2]])
-        a0, a2, resid = rt.chi_parabola_fit(pts, through_origin=True)
-        assert a0 == 0.0
-        assert a2 == pytest.approx(85.0, abs=1e-9)
 
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):

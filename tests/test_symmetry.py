@@ -165,7 +165,7 @@ class TestSpectralConsequences:
 
     def test_oblique_plane_pairing(self):
         g0 = 0.085
-        build = models.experimental_builder(gamma0=g0, dchi=-0.073)
+        build = models.builder(models.ExperimentalParams(gamma0=g0, dchi=-0.073))
         rng = np.random.default_rng(8)
         for _ in range(40):
             gam = rng.normal() * 0.3

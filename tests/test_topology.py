@@ -38,10 +38,6 @@ class TestPaths:
         path = topo.rect_path((0, 0, 0), (1, 0, 0), (0, 1, 0), 0.5, 0.3, n_per_edge=5)
         assert path.closed and len(path.points) == 20
 
-    def test_reversed(self):
-        path = topo.circle_path((0, 0, 0), (0, 0, 1), 1.0, n=16)
-        assert np.allclose(path.reversed().points, path.points[::-1])
-
 
 class TestTrackBands:
     def test_constant_path(self, theoretical_build):
@@ -128,7 +124,8 @@ class TestEnergyVorticity:
     def test_reversal_flips_sign_exactly(self, theoretical_build):
         loop = in_plane_el_loop(0.3)
         nu = topo.energy_vorticity(topo.track_bands(theoretical_build, loop))
-        nu_rev = topo.energy_vorticity(topo.track_bands(theoretical_build, loop.reversed()))
+        reversed_loop = topo.ParameterPath(points=loop.points[::-1], closed=True)
+        nu_rev = topo.energy_vorticity(topo.track_bands(theoretical_build, reversed_loop))
         assert nu_rev == -nu
 
     def test_half_quantization_random_loops(self, theoretical_build):

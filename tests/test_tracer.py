@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from excepta import numkernel as nk
 from excepta.tracer import pf_delta
 
 WIN = (np.array([-0.3, -0.25, -0.2]), np.array([0.3, 0.3, 0.2]))
+TRACE_ER_CSV = Path(__file__).resolve().parent.parent / "goldens" / "trace_er.csv"
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +72,30 @@ class TestRefineEP:
         with pytest.raises(tracer.DiabolicPointError):
             tracer.refine_ep(diabolic, (0.0, 0.002, 0.0), plane=tracer.plane_kappa0())
 
+    def test_rejects_exactly_degenerate_diabolic_seed(self):
+        # K = I, G = 0 at the seed: |D+| is already 0 and the splitting is 0.
+        diabolic = models.theoretical_builder(dchi=0.0)
+        with pytest.raises(tracer.DiabolicPointError):
+            tracer.refine_ep(diabolic, (0.0, 0.0, 0.0), plane=tracer.plane_kappa0())
+
+    def test_solve_and_refine_agree_on_traced_vertices(self):
+        # configs/trace_er.json: the gamma = 0 ring of the theoretical model.
+        build = models.builder(models.TheoreticalParams(dchi=-0.05))
+        with TRACE_ER_CSV.open() as fh:
+            vertices = [np.array([float(row[k]) for k in ("x0", "x1", "x2")]) for row in csv.DictReader(fh)]
+        missed = []
+        for v in vertices:
+            spectrum = qep.solve(build(v))
+            pf_pair = tuple(np.flatnonzero(spectrum.omegas.real > 0).tolist())
+            if pf_pair not in spectrum.ep_clusters:
+                missed.append(v)
+            tracer.refine_ep(build, v, plane=tracer.plane_gamma0(), check_coalescence=True)
+        assert len(vertices) == 50
+        assert missed == []
+
     def test_experimental_oblique_plane_matches_dense_sweep(self):
         g0 = 0.085
-        build = models.experimental_builder(gamma0=g0, dchi=-0.073)
+        build = models.builder(models.ExperimentalParams(gamma0=g0, dchi=-0.073))
         plane = tracer.plane_oblique(g0)
         found = tracer.refine_ep(build, plane.point(0.02, 0.01), plane=plane)
         assert abs(pf_delta(build, found)) < 1e-12
@@ -202,7 +227,7 @@ class TestObliquePlane:
         # plane kappa = gamma0 gamma / (2 m0); trace one and check both the
         # plane constraint and agreement with dense splitting minima.
         g0 = 0.085
-        build = models.experimental_builder(gamma0=g0, dchi=-0.073)
+        build = models.builder(models.ExperimentalParams(gamma0=g0, dchi=-0.073))
         plane = tracer.plane_oblique(g0)
         win = (np.array([-0.3, -0.1, -0.05]), np.array([0.3, 0.2, 0.05]))
         start = tracer.refine_ep(build, plane.point(0.05, 0.0), plane=plane)
