@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice as lat
-from . import models, symmetry, topology, tracer
+from . import models, retrieval, symmetry, topology, tracer
 from . import qep
 from .numkernel import ConvergenceError
 
@@ -177,12 +177,6 @@ def _plane(value, key, where):
     return value if isinstance(value, str) else _parse(PLANE, value, key, where)
 
 
-def _response_params(value, key, where):
-    from . import retrieval
-
-    return _parse({name: (NUMBER, 0.0) for name in retrieval.PARAM_NAMES}, value, key, where)
-
-
 VEC3 = list_of(NUMBER, 3)
 MODEL = model_of(*models.MODELS)
 SYNTHETIC = model_of("theoretical", "experimental")
@@ -252,7 +246,7 @@ SCHEMAS = {
             "dump_fields": (BOOL, False),
         },
         "synth": {
-            "params": _response_params,  # the names in retrieval.PARAM_NAMES, each defaulting to 0
+            "params": {name: (NUMBER, 0.0) for name in retrieval.PARAM_NAMES},
             "freqs": {"from": NUMBER, "to": NUMBER, "n": INT},
             "noise": (NUMBER, 0.0),
             "seed": (INT, None),
@@ -348,9 +342,12 @@ def cmd_sweep(cfg, jobs):
 
 
 def cmd_vorticity(cfg, jobs):
-    _, params = cfg["model"]
+    name, params = cfg["model"]
     build = models.builder(params)
     i, j = cfg["bands"]
+    n_bands = models.MODELS[name].qmp(params).dim
+    if i == j or not (0 <= i < n_bands and 0 <= j < n_bands):
+        raise ConfigError(f"field 'bands' must be two different band indices below {n_bands}")
     if cfg["loops"] is not None:
         loop_specs = cfg["loops"]
     elif cfg["loop"] is not None:
@@ -393,9 +390,19 @@ def _line_csv(lines) -> str:
     return qep.csv_text(["edge", "vertex", "x0", "x1", "x2"], rows)
 
 
+def _window(cfg) -> tuple:
+    """(lo, hi) of a trace; on the lattice 3 steps (the probe radius) inside the first Brillouin zone."""
+    lo, hi = cfg["window"]["lo"], cfg["window"]["hi"]
+    if not cfg["step"] > 0:
+        raise ConfigError("field 'step' must be positive")
+    if cfg["model"][0] == "lattice" and max(-min(lo), max(hi)) > np.pi - 3.0 * cfg["step"]:
+        raise ConfigError("field 'window' must stay 3 steps inside the first Brillouin zone [-pi, pi] on the lattice")
+    return lo, hi
+
+
 def cmd_trace(cfg, jobs):
     _, params = cfg["model"]
-    window = (cfg["window"]["lo"], cfg["window"]["hi"])
+    window = _window(cfg)
     plane = parse_plane(cfg["plane"], params)
     line = tracer.trace_el(models.builder(params), cfg["seed_point"], cfg["step"], window, plane=plane)
     summary = {"closed": line.closed, "orientation": line.orientation, "n_vertices": len(line.polyline)}
@@ -407,7 +414,7 @@ def cmd_trace(cfg, jobs):
 def cmd_chain(cfg, jobs):
     _, params = cfg["model"]
     build = models.builder(params)
-    window = (cfg["window"]["lo"], cfg["window"]["hi"])
+    window = _window(cfg)
     step = cfg["step"]
     traces = cfg["traces"]
     if not traces:
@@ -500,7 +507,7 @@ def cmd_latent_check(cfg, jobs):
 def cmd_effective(cfg, jobs):
     name, params = cfg["model"]
     q = models.MODELS[name].qmp(params)
-    eff = models.effective_two_band(q, cfg["omega0"])
+    eff = _built("'omega0'", models.effective_two_band, q, cfg["omega0"])
     pf = qep.pf_omegas(qep.solve(q))
     exact_split = pf[1] - pf[0]
     shifts = eff.shifts
@@ -541,6 +548,8 @@ def cmd_wavepacket(cfg, jobs):
     _, params = cfg["model"]
     spec = _built("'spec'", lat.WavepacketSpec, **cfg["spec"])
     times = cfg["times"]
+    if min(cfg["slab"]) < 1:
+        raise ConfigError("field 'slab' needs at least one site along each axis")
     fields = lat.evolve_wavepacket(params, spec, times, slab=cfg["slab"])
     rows = []
     for f in fields:
@@ -560,19 +569,16 @@ def cmd_wavepacket(cfg, jobs):
 
 
 def cmd_synth(cfg, jobs):
-    from . import retrieval
-
     f = cfg["freqs"]
-    freqs = np.linspace(f["from"], f["to"], f["n"])
-    spectra = retrieval.synth_response(cfg["params"], freqs, noise=cfg["noise"], seed=cfg["seed"])
+    freqs = _built("'freqs'", np.linspace, f["from"], f["to"], f["n"])
+    spectra = _built("'freqs', 'params' or 'noise'", retrieval.synth_response,
+                     cfg["params"], freqs, cfg["noise"], cfg["seed"])
     return {"n_freqs": len(freqs), "noise": spectra.noise_level}, [
         (cfg["output"] + ".csv", retrieval.spectra_to_csv(spectra))
     ]
 
 
 def cmd_fit(cfg, jobs):
-    from . import retrieval
-
     data_path = Path(cfg["data"])
     if not data_path.exists():
         raise ConfigError(f"field 'data': file {data_path} does not exist")

@@ -1,6 +1,6 @@
 """Matrix validation, the nullspace SVD and gauge fix behind eigenvectors,
-polynomial root finding, and the minimum-cost assignment behind band
-matching.
+polynomial root finding, and the exact minimum-cost assignment behind band
+matching, by enumeration up to MAX_ASSIGNMENT entries.
 
 `gauge_fix` acts along the last axis of a stack of vectors, bit-identical
 to fixing them one at a time.
@@ -13,6 +13,7 @@ inputs give bit-identical outputs, which the golden-file tests rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 GOLDEN_ANGLE = np.pi * (np.sqrt(5.0) - 1.0)
 
 NULLSPACE_RTOL = 1e-7
+
+# Largest assignment min_cost_assignment enumerates: the six frequencies of an
+# N = 3 spectrum, 720 orders.
+MAX_ASSIGNMENT = 6
+_PERMUTATIONS = [tuple(itertools.permutations(range(n))) for n in range(MAX_ASSIGNMENT + 1)]
 
 
 class ConvergenceError(RuntimeError):
@@ -176,23 +182,23 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def min_cost_assignment(a: np.ndarray, b: np.ndarray, power: int) -> np.ndarray:
-    """Column order of `b` minimizing sum |a_i - b_col(i)|**power.
+    """Column order of `b` minimizing sum |a_i - b_col(i)|**power, exact by enumeration.
 
-    Up to two entries (the two positive-frequency bands of a 2x2 model) the
-    identity and the swap are compared directly, and the swap wins only on a
-    strictly smaller finite sum, so exact ties keep the identity.  Larger,
-    rectangular or non-finite problems go to scipy's linear_sum_assignment,
-    imported only then.
+    Every permutation is tried in lexicographic order, identity first, and a
+    later one wins only on a strictly smaller sum, so exact ties keep the
+    identity.  Raises ValueError for lengths that differ or exceed
+    MAX_ASSIGNMENT, and when the costs do not have a finite sum.
     """
     n = len(a)
-    if n == len(b) and n <= 2:
-        x, y = a.tolist(), b.tolist()
-        keep = sum([abs(p - q) ** power for p, q in zip(x, y)])
-        swap = sum([abs(p - q) ** power for p, q in zip(x, y[::-1])])
-        if keep < math.inf and not swap < keep:
-            return np.arange(n)
-        if swap < math.inf:  # only reachable at n = 2: otherwise swap == keep
-            return np.array([1, 0])
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(np.abs(a[:, None] - b[None, :]) ** power)[1]
+    if n != len(b) or n > MAX_ASSIGNMENT:
+        raise ValueError(f"assignment needs equal lengths of at most {MAX_ASSIGNMENT}, got {n} and {len(b)}")
+    y = b.tolist()
+    cost = [[abs(p - q) ** power for q in y] for p in a.tolist()]
+    if not math.isfinite(sum(map(sum, cost))):  # so is every permutation's sum
+        raise ValueError("assignment costs must be finite")
+    best, order = math.inf, None
+    for perm in _PERMUTATIONS[n]:
+        total = sum(map(list.__getitem__, cost, perm))
+        if total < best:
+            best, order = total, perm
+    return np.array(order, dtype=int)

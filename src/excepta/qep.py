@@ -217,7 +217,9 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[Eigen
 def particle_hole_residual(spectrum: Spectrum) -> float:
     """Optimal-assignment distance between {w_n} and {-w_n*}.
 
-    Zero (below 1e-9) for the spectrum of any real QMP.
+    Zero (below 1e-9) for the spectrum of any real QMP.  The assignment is
+    exact up to numkernel.MAX_ASSIGNMENT frequencies (N <= 3); larger spectra
+    raise ValueError.
     """
     w = spectrum.omegas
     target = -w.conj()

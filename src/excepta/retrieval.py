@@ -4,14 +4,16 @@ The observable is the driven steady-state magnitude |c G_mn(2 pi f)| of the
 transfer matrix G = Q^-1 for excitation at oscillator n and readout at m.
 Fitting those four magnitude curves recovers the stiffness/damping
 parameters of the loss-biased two-oscillator model; magnitudes only, as
-phases are not used.  The fit is bounded trust-region least squares on the
-exact Jacobian d|G_mn|, which follows from dG = -G dQ G.
+phases are not used.  The fit starts from a linear solve of the magnitude
+ratios and polishes by projected Levenberg-Marquardt on the exact Jacobian
+d|G_mn|, which follows from dG = -G dQ G.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,43 +35,21 @@ class ResponseSpectra:
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
         c = np.asarray(self.curves, dtype=float)
-        if f.ndim != 1 or np.any(np.diff(f) <= 0):
-            raise ValueError("freqs must be strictly increasing")
+        if f.ndim != 1 or not np.all(np.isfinite(f)) or np.any(np.diff(f) <= 0):
+            raise ValueError("freqs must be finite and strictly increasing")
         if c.shape != (2, 2, len(f)):
             raise ValueError("curves must have shape (2, 2, len(freqs))")
-        if np.any(c < 0):
-            raise ValueError("magnitudes must be nonnegative")
+        if not np.all(np.isfinite(c)) or np.any(c < 0):
+            raise ValueError("magnitudes must be finite and nonnegative")
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "curves", c)
 
 
-def _transfer(params: dict, freqs) -> np.ndarray:
-    """G(2 pi f) = Q^-1 for the loss-biased pair at m0 = 1, shape (2, 2, F).
-
-    Closed-form 2x2 inverse vectorized over the frequency axis.
-    """
-    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-    k11 = params["kappa0"] + params["chi"]
-    k12 = -params["chi"]
-    k21 = -params["chi"] - params["dchi"]
-    k22 = params["kappa0"] - params["kappa"] + params["chi"]
-    g11 = params["gamma0"] + params["gamma"] / 2.0
-    g22 = params["gamma0"] - params["gamma"] / 2.0
-    q11 = w**2 - k11 + 1j * w * g11
-    q12 = -k12 + 0j * w
-    q21 = -k21 + 0j * w
-    q22 = w**2 - k22 + 1j * w * g22
-    det = q11 * q22 - q12 * q21
-    return np.array([[q22 / det, -q12 / det], [-q21 / det, q11 / det]])
-
-
-def response_magnitudes(params: dict, freqs) -> np.ndarray:
-    """c |G_mn(2 pi f)| for the loss-biased pair at m0 = 1."""
-    return params["c"] * np.abs(_transfer(params, freqs))
-
-
-# dQ/dp = A + i w B for every parameter p but the response scale c, with Q
-# as in `_transfer`: stiffness terms enter -K, damping terms i w G.
+# The loss-biased pair at m0 = 1, defined once: Q = w^2 - K + i w G is linear
+# in every parameter p but the response scale c, with dQ/dp = A + i w B
+# (stiffness terms enter -K, damping terms i w G).  _ENTRY_MAP holds the same
+# table as Q entries (k11, k22, g11, g22, q12, q21) per unit of each
+# parameter, where q_ii = w^2 - k_ii + i w g_ii.
 _DQ = {
     "kappa0": ([[-1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]),
     "gamma0": ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),
@@ -78,6 +58,25 @@ _DQ = {
     "kappa": ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
     "gamma": ([[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, -0.5]]),
 }
+_ENTRY_MAP = np.array([[-a[0][0], -a[1][1], b[0][0], b[1][1], a[0][1], a[1][0]] for a, b in _DQ.values()]).T
+
+
+def _transfer(params: dict, freqs) -> np.ndarray:
+    """G(2 pi f) = Q^-1 for the loss-biased pair at m0 = 1, shape (2, 2, F).
+
+    Closed-form 2x2 inverse vectorized over the frequency axis.
+    """
+    w = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+    k11, k22, g11, g22, q12, q21 = _ENTRY_MAP @ [params[p] for p in _DQ]
+    q11 = w**2 - k11 + 1j * w * g11
+    q22 = w**2 - k22 + 1j * w * g22
+    det = q11 * q22 - q12 * q21
+    return np.array([[q22 / det, -q12 / det], [-q21 / det, q11 / det]])
+
+
+def response_magnitudes(params: dict, freqs) -> np.ndarray:
+    """c |G_mn(2 pi f)| for the loss-biased pair at m0 = 1."""
+    return params["c"] * np.abs(_transfer(params, freqs))
 
 
 def _jacobian(params: dict, freqs, free) -> np.ndarray:
@@ -91,8 +90,8 @@ def _jacobian(params: dict, freqs, free) -> np.ndarray:
     g = _transfer(params, freqs)
     mag = np.abs(g)
     names = [p for p in free if p != "c"]
-    a = np.array([_DQ[p][0] for p in names])[..., None]
-    b = np.array([_DQ[p][1] for p in names])[..., None]
+    a = np.array([_DQ[p][0] for p in names]).reshape(-1, 2, 2, 1)
+    b = np.array([_DQ[p][1] for p in names]).reshape(-1, 2, 2, 1)
     dg = -np.einsum("maf,pabf,bnf->pmnf", g, a + 1j * w * b, g)
     num = np.real(np.conj(g) * dg)
     dmag = np.divide(num, mag, out=np.zeros_like(num), where=mag > 0)
@@ -155,26 +154,91 @@ class FitResult:
     curvature: dict
 
 
-# Simplex evaluations per free parameter before the trust-region phase.
-# Trust-region descents straight from the Sobol starts often settle in the
-# sign-flipped chi + dchi basin; a short bounded Nelder-Mead walk first
-# moves most starts out of it.  The walk is a fixed budget, not a
-# tolerance: least squares does the converging.
-SIMPLEX_EVALS_PER_PARAM = 10
+# Sanathanan-Koerner reweightings of the linear start.  A polish starts at
+# LM_DAMPING (relative to the column-scaled normal matrix) and stops when a
+# step moves x or lowers the sum of squares by less than LM_TOL relative, when
+# no damping up to LM_MAX_DAMPING lowers it, or after LM_MAX_STEPS Jacobians.
+REWEIGHTINGS = 4
+LM_DAMPING, LM_MAX_DAMPING, LM_MAX_STEPS, LM_TOL = 1e-3, 1e12, 100, 1e-14
+
+
+def _linear_start(data: ResponseSpectra) -> np.ndarray:
+    """|(k11, k22, g11, g22, chi, chi + dchi)| from the magnitude ratios.
+
+    chi^2 (y11/y12)^2 = |q22|^2 = w^4 + (g22^2 - 2 k22) w^2 + k22^2, and its
+    twin in (y22/y12)^2 and q11, are linear in chi^2, g^2 - 2k and k^2: one
+    least-squares solve (Levy 1959), then REWEIGHTINGS more, each row divided
+    by its last |q|^2 against the noise bias (Sanathanan and Koerner 1963).
+    """
+    y = data.curves
+    if not np.all(y[0, 1] > 0):
+        raise ValueError("|G12| vanishes at some frequency; the fit needs chi != 0")
+    w2 = (2.0 * np.pi * data.freqs) ** 2
+    one, zero = np.ones_like(w2), np.zeros_like(w2)
+    r22, r11 = (y[0, 0] / y[0, 1]) ** 2, (y[1, 1] / y[0, 1]) ** 2
+    design = np.concatenate([np.stack([r22, -w2, -one, zero, zero], 1), np.stack([r11, zero, zero, -w2, -one], 1)])
+    rhs, weight = np.concatenate([w2**2, w2**2]), np.ones(2 * len(w2))
+    for _ in range(REWEIGHTINGS + 1):
+        rows = design / weight[:, None]
+        norms = np.linalg.norm(rows, axis=0)
+        norms[norms == 0] = 1.0  # an all-zero ratio column (y11 or y22 zero throughout)
+        u = np.linalg.lstsq(rows / norms, rhs / weight, rcond=None)[0] / norms
+        k = np.sqrt(np.maximum(u[[2, 4]], 0.0))  # k22, k11
+        g2 = np.maximum(u[[1, 3]] + 2.0 * k, 0.0)
+        weight = ((w2 - k[:, None]) ** 2 + g2[:, None] * w2).reshape(-1)
+        weight += 1e-12 * weight.max()
+    chi, ratio = np.sqrt(max(u[0], 0.0)), (y[1, 0] @ y[0, 1]) / (y[0, 1] @ y[0, 1])  # |chi + dchi| / |chi|
+    return np.array([k[1], k[0], np.sqrt(g2[1]), np.sqrt(g2[0]), chi, ratio * chi])
+
+
+def _polish(residuals, jacobian, x, lo, hi) -> tuple[float, tuple]:
+    """(sum of squares, parameters) after Levenberg-Marquardt from x, column-scaled (More 1978).
+
+    A parameter on a bound that descent pushes outward stays there; a step is
+    clipped into [lo, hi] and taken only if it lowers the sum of squares.
+    """
+    r = residuals(x)
+    fx, damping, scale = float(r @ r), LM_DAMPING, np.zeros(len(x))
+    for _ in range(LM_MAX_STEPS):
+        jac = jacobian(x)
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        d = np.where(scale > 0, scale, 1.0)
+        grad = (jac / d).T @ r
+        move = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        normal = ((jac / d).T @ (jac / d))[np.ix_(move, move)]
+        while damping <= LM_MAX_DAMPING:
+            step = np.zeros(len(x))
+            step[move] = np.linalg.solve(normal + damping * np.eye(len(normal)), -grad[move])
+            trial = np.clip(x + step / d, lo, hi)
+            if np.linalg.norm(d * (trial - x)) <= LM_TOL * np.linalg.norm(d * x):
+                return fx, tuple(x)
+            r_trial = residuals(trial)
+            f_trial = float(r_trial @ r_trial)
+            if f_trial < fx:
+                break
+            damping *= 10.0
+        else:
+            return fx, tuple(x)
+        x, r, fx, gain, damping = trial, r_trial, f_trial, fx - f_trial, damping / 10.0
+        if gain <= LM_TOL * (fx + gain):
+            break
+    return fx, tuple(x)
 
 
 def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, seed: int = 0) -> FitResult:
-    """Multi-start bounded least squares over the free parameters.
+    """Bounded least squares over the free parameters, from an algebraic start.
 
-    Starts come from a scrambled Sobol sequence inside the bounds, seeded.
-    Each runs a short bounded Nelder-Mead walk, then the trust-region
-    reflective least-squares method (Branch, Coleman and Li, 1999) on the
-    exact Jacobian of the magnitudes.  The winner is the (residual, then
-    lexicographic-parameter) minimum, so results are reproducible.
+    Magnitudes cannot tell the signs of chi, of chi + dchi relative to chi,
+    of g11 or of g22: each of the 16 sign choices of the linear start maps to
+    the free parameters by least squares given the fixed ones, is projected
+    into the bounds and gets its least-squares c.  The first `starts` distinct
+    candidates, by sum of squares then parameters, are each polished once;
+    the winner is the (residual, then lexicographic-parameter) minimum.
+    Nothing is random: `seed` is accepted and changes nothing.
+
+    Raises ValueError when |G12| vanishes, and ConvergenceError when no
+    polish improves on the best candidate unless it already fits to rounding.
     """
-    from scipy.optimize import least_squares, minimize  # imported here so synthesis alone loads no scipy
-    from scipy.stats import qmc
-
     if starts < 1:
         raise ValueError("need at least one start")
     if len(data.freqs) < 50:
@@ -191,26 +255,24 @@ def fit_parameters(data: ResponseSpectra, model: FitModel, starts: int = 16, see
     def jacobian(theta):
         return _jacobian(model.assemble(theta), data.freqs, model.free)
 
-    # Scrambled low-discrepancy starts cover the box far more evenly than
-    # iid draws, which matters when a secondary least-squares basin exists.
-    sobol = qmc.Sobol(d=len(model.free), scramble=True, seed=seed)
-    draw = sobol.random(int(2 ** np.ceil(np.log2(max(starts, 2)))))[:starts]
-    start_points = lo + (hi - lo) * draw
-
-    nm_options = {"maxfev": SIMPLEX_EVALS_PER_PARAM * len(model.free)}
-    best = []
-    f_init_best = min(f(s) for s in start_points)
-    for s in start_points:
-        walk = minimize(f, s, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=nm_options)
-        res = least_squares(
-            residuals, walk.x, jac=jacobian, bounds=(lo, hi), method="trf", x_scale="jac",
-            ftol=1e-15, xtol=1e-15, gtol=1e-15,
-        )
-        best.append((f(res.x), tuple(res.x)))
-    best.sort(key=lambda t: (t[0], t[1]))
-    fx, x = best[0]
+    mags = _linear_start(data)
+    ci, others = model.free.index("c"), [i for i, p in enumerate(model.free) if p != "c"]
+    to_free = np.linalg.pinv(_ENTRY_MAP[:, [list(_DQ).index(model.free[i]) for i in others]])
+    pinned = _ENTRY_MAP @ [model.assemble(np.zeros(len(lo)))[p] for p in _DQ]
+    candidates = {}
+    for s_chi, s_rel, s11, s22 in itertools.product((1.0, -1.0), repeat=4):
+        x = np.ones(len(lo))
+        x[others] = to_free @ (mags * [1.0, 1.0, s11, s22, s_chi, s_chi * s_rel] - pinned)
+        x = np.clip(x, lo, hi)
+        x[ci] = 1.0
+        shape = response_magnitudes(model.assemble(x), data.freqs)
+        x[ci] = np.clip(np.sum(shape * data.curves) / np.sum(shape**2), lo[ci], hi[ci])
+        candidates[tuple(x)] = float(np.sum((x[ci] * shape - data.curves) ** 2))
+    ranked = sorted((f0, x) for x, f0 in candidates.items())
+    fx, x = min(_polish(residuals, jacobian, np.array(x), lo, hi) for _, x in ranked[:starts])
     x = np.array(x)
-    if fx >= f_init_best:
+    # A start that already fits to rounding cannot improve, and is no failure.
+    if fx >= ranked[0][0] and fx > (8.0 * np.finfo(float).eps) ** 2 * np.sum(data.curves**2):
         raise ConvergenceError(
             "no start improved on its initial residual", best=model.assemble(x), residual=fx
         )

@@ -4,9 +4,8 @@ The central quantities are phase windings of continuous band differences:
 
 * energy vorticity: winding of arg(w_m - w_n) along a closed loop, in
   half-integer units;
-* discriminant numbers: windings of the product of squared band
-  differences over the positive-frequency (PF), negative-frequency (NF),
-  or full band set;
+* the PF discriminant number: winding of the product of squared
+  differences of the positive-frequency (PF) bands;
 * the open-arc variant, quantized only when the arc's endpoints sit on
   the high-symmetry line where the PF discriminant is real.
 
@@ -128,13 +127,12 @@ class TrackedBands:
         return self.omegas.shape[1]
 
 
-def _band_frequencies(build, point, pf_only: bool) -> np.ndarray:
-    spectrum = solve(build(point))
-    return pf_omegas(spectrum) if pf_only else spectrum.omegas
-
-
 def match_bands(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Column order of `new` minimizing sum |delta w|^2 against `prev`."""
+    """Column order of `new` minimizing sum |delta w|^2 against `prev`.
+
+    Exact for up to numkernel.MAX_ASSIGNMENT bands (the PF bands of N <= 6
+    oscillators); more bands raise ValueError.
+    """
     return min_cost_assignment(prev, new, 2)
 
 
@@ -146,8 +144,8 @@ def _min_separation(w: np.ndarray) -> float:
     return float(diff.min())
 
 
-def track_bands(build, path: ParameterPath, pf_only: bool = True) -> TrackedBands:
-    """Continue bands along the path, bisecting segments adaptively.
+def track_bands(build, path: ParameterPath) -> TrackedBands:
+    """Continue the PF bands along the path, bisecting segments adaptively.
 
     A segment is accepted once the largest per-band jump is below
     JUMP_FRACTION of the smaller endpoint band separation; paths passing
@@ -159,10 +157,10 @@ def track_bands(build, path: ParameterPath, pf_only: bool = True) -> TrackedBand
         pts = pts + [path.points[0]]
 
     out_points = [np.asarray(pts[0], dtype=float)]
-    out_omegas = [_band_frequencies(build, pts[0], pf_only)]
+    out_omegas = [pf_omegas(solve(build(pts[0])))]
 
     for target in pts[1:]:
-        _extend_segment(build, out_points, out_omegas, np.asarray(target, float), pf_only, 0)
+        _extend_segment(build, out_points, out_omegas, np.asarray(target, float), 0)
 
     omegas = np.array(out_omegas)
     if path.closed:
@@ -174,11 +172,11 @@ def track_bands(build, path: ParameterPath, pf_only: bool = True) -> TrackedBand
     )
 
 
-def _extend_segment(build, out_points, out_omegas, target, pf_only, depth):
+def _extend_segment(build, out_points, out_omegas, target, depth):
     """Append `target` (and any needed midpoints) continuing the last sample."""
     prev_pt = out_points[-1]
     prev_w = out_omegas[-1]
-    new_w = _band_frequencies(build, target, pf_only)
+    new_w = pf_omegas(solve(build(target)))
     new_w = new_w[match_bands(prev_w, new_w)]
     sep = min(_min_separation(prev_w), _min_separation(new_w))
     if sep < MIN_SEPARATION:
@@ -192,8 +190,8 @@ def _extend_segment(build, out_points, out_omegas, target, pf_only, depth):
         if depth >= MAX_BISECTIONS:
             raise TrackingError("refinement exhausted without resolving band jump")
         mid = 0.5 * (prev_pt + target)
-        _extend_segment(build, out_points, out_omegas, mid, pf_only, depth + 1)
-        _extend_segment(build, out_points, out_omegas, target, pf_only, depth + 1)
+        _extend_segment(build, out_points, out_omegas, mid, depth + 1)
+        _extend_segment(build, out_points, out_omegas, target, depth + 1)
         return
     out_points.append(target)
     out_omegas.append(new_w)
@@ -242,30 +240,15 @@ def _pairwise_winding_sum(tb: TrackedBands) -> float:
     return total
 
 
-def discriminant_number(build, path: ParameterPath, which: str = "pf") -> float:
-    """Winding of the chosen discriminant along a closed loop.
+def discriminant_number(build, path: ParameterPath) -> float:
+    """Winding of the PF discriminant along a closed loop.
 
-    which = "pf" | "nf" | "all".  Computed as twice the sum of pairwise
-    band-difference windings, which keeps every per-segment increment small
-    regardless of band count.  "all" on a real QMP is identically zero
-    because conjugate-paired bands wind oppositely.
+    Computed as twice the sum of pairwise band-difference windings, which
+    keeps every per-segment increment small regardless of band count.
     """
-    if which not in ("pf", "nf", "all"):
-        raise ValueError("which must be 'pf', 'nf', or 'all'")
     if not path.closed:
         raise ValueError("discriminant numbers are defined on closed loops")
-    if which == "pf":
-        tb = track_bands(build, path, pf_only=True)
-        return 2.0 * _pairwise_winding_sum(tb)
-    tb = track_bands(build, path, pf_only=False)
-    if which == "all":
-        return 2.0 * _pairwise_winding_sum(tb)
-    nf_cols = [i for i in range(tb.n_bands) if tb.omegas[0, i].real < 0]
-    total = 0.0
-    for a in range(len(nf_cols)):
-        for b in range(a + 1, len(nf_cols)):
-            total += _winding(tb.omegas[:, nf_cols[a]] - tb.omegas[:, nf_cols[b]])
-    return 2.0 * total
+    return 2.0 * _pairwise_winding_sum(track_bands(build, path))
 
 
 def arc_invariant(build, arc: ParameterPath) -> float:
@@ -285,7 +268,7 @@ def arc_invariant(build, arc: ParameterPath) -> float:
     for label, end in (("start", arc.points[0]), ("end", arc.points[-1])):
         if abs(pf_discriminant(solve(build(end)))) < ARC_ENDPOINT_TOL:
             raise ValueError(f"arc {label}point is degenerate (|discriminant| < {ARC_ENDPOINT_TOL})")
-    return 2.0 * _pairwise_winding_sum(track_bands(build, arc, pf_only=True))
+    return 2.0 * _pairwise_winding_sum(track_bands(build, arc))
 
 
 @dataclass(frozen=True)
@@ -444,7 +427,7 @@ def surface_audit(build, surface, punctures, loop_radius: float | None = None, n
     pfdns = []
     for p in pts:
         loop = surface.loop_around(p, loop_radius, n)
-        val = discriminant_number(build, loop, which="pf")
+        val = discriminant_number(build, loop)
         rounded = int(round(val))
         if abs(val - rounded) > QUANTIZATION_TOL:
             raise TrackingError(f"puncture PFDN {val} is not integer-quantized")

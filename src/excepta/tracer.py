@@ -336,7 +336,7 @@ def probe_orientation(build, point, tangent, radius: float, n: int = 64) -> int:
     the directed line follows the tangent, -1 when it opposes it.
     """
     loop = circle_path(point, tangent, radius, n)
-    val = discriminant_number(build, loop, which="pf")
+    val = discriminant_number(build, loop)
     rounded = int(round(val))
     if rounded not in (-1, 1) or abs(val - rounded) > topo.QUANTIZATION_TOL:
         raise RefineError(f"probe loop PFDN {val} does not identify a single line")

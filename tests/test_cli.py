@@ -67,6 +67,33 @@ BAD_CONFIGS = {
     "wavepacket_grid_below_8": ("wavepacket_small", lambda c: c.update(spec={"grid": [4, 4]})),
     "model_param_nan": ("solve_theoretical", lambda c: c["model"]["params"].update(chi=float("nan"))),
     "loop_radius_infinity": ("surface_audit_box", lambda c: c.update(loop_radius=float("inf"))),
+    "vorticity_same_band_twice": ("vorticity_chain_loop", lambda c: c.update(bands=[0, 0])),
+    "vorticity_band_out_of_range": ("vorticity_chain_loop", lambda c: c.update(bands=[0, 5])),
+    "effective_omega0_negative": ("effective_two_band", lambda c: c.update(omega0=-1)),
+    "synth_freqs_decreasing": ("synth_demo", lambda c: c["freqs"].update({"from": 22.0, "to": 2.0})),
+    "wavepacket_empty_slab": ("wavepacket_small", lambda c: c.update(slab=[0, 0])),
+    "chain_step_zero": ("chain_theoretical", lambda c: c.update(step=0)),
+    "lattice_trace_window_past_zone": (
+        "trace_er",
+        lambda c: c.update(
+            model={"model": "lattice", "params": {}},
+            plane="kx=0",
+            seed_point=[0.0, 1.3, 0.05],
+            step=0.03,
+            window={"lo": [-3.2, -3.2, -3.2], "hi": [3.2, 3.2, 3.2]},
+        ),
+    ),
+}
+
+# Range errors that the handlers find: each message names its field.
+RANGE_ERROR_FIELDS = {
+    "vorticity_same_band_twice": "bands",
+    "vorticity_band_out_of_range": "bands",
+    "effective_omega0_negative": "omega0",
+    "synth_freqs_decreasing": "freqs",
+    "wavepacket_empty_slab": "slab",
+    "chain_step_zero": "step",
+    "lattice_trace_window_past_zone": "window",
 }
 
 # Keys where an explicit null means the default (None).
@@ -144,6 +171,15 @@ class TestExitCodes:
         res = run_cli([cfg["command"], "--config", str(path), "--out", str(tmp_path)])
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == "config"
+
+    @pytest.mark.parametrize("case", sorted(RANGE_ERROR_FIELDS))
+    def test_range_error_names_its_field(self, case, capsys, tmp_path):
+        stem, edit = BAD_CONFIGS[case]
+        cfg = edited_config(stem, edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([cfg["command"], "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"'{RANGE_ERROR_FIELDS[case]}'" in json.loads(capsys.readouterr().err)["message"]
 
     def test_chain_names_duplicate_traces(self, tmp_path):
         cfg = edited_config("chain_theoretical", BAD_CONFIGS["chain_same_line_twice"][1])
@@ -238,8 +274,8 @@ class TestExitCodes:
 
 
 class TestColdStart:
-    # scipy is imported inside the functions that use it (fitting, and band
-    # matchings above two bands), so no import path loads it.
+    # numpy is the only runtime dependency: no library module imports scipy,
+    # and every example config runs where importing it fails.
     @pytest.mark.parametrize(
         "statement",
         [
@@ -258,25 +294,6 @@ class TestColdStart:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
-
-    @staticmethod
-    def loaded_after_cli_import(module: str) -> str:
-        res = subprocess.run(
-            [sys.executable, "-c", f"import sys, excepta.cli; print({module!r} in sys.modules)"],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-        )
-        assert res.returncode == 0, res.stderr
-        return res.stdout.strip()
-
-    def test_cli_import_skips_scipy_stats(self):
-        # Only synth and fit need the retrieval module and its scipy.stats.
-        assert self.loaded_after_cli_import("scipy.stats") == "False"
-
-    def test_cli_import_skips_scipy_optimize(self):
-        # Only fit, and matchings above two bands, import it when called.
-        assert self.loaded_after_cli_import("scipy.optimize") == "False"
 
     @pytest.mark.parametrize("stem", ["vorticity_fig1_loops", "trace_er", "sweep_experimental_chi"])
     def test_band_matching_commands_load_no_scipy(self, stem, tmp_path):
@@ -297,9 +314,30 @@ class TestColdStart:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "0 []"
 
-    def test_no_module_level_scipy_import(self):
+    def test_every_config_runs_with_scipy_blocked(self, tmp_path):
+        configs = sorted(CONFIGS.glob("*.json"))
+        runs = [[config_command(c), "--config", str(c), "--out", str(tmp_path / c.stem)] for c in configs]
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from excepta import cli\n"
+            "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, cwd=REPO
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [0] * len(configs), res.stderr
+        for config in configs:
+            produced = sorted((tmp_path / config.stem).iterdir())
+            assert produced, config.stem
+            for path in produced:
+                assert path.read_bytes() == (GOLDENS / path.name).read_bytes(), path.name
+
+    def test_no_scipy_import(self):
         for source in sorted((REPO / "src" / "excepta").glob("*.py")):
-            for node in ast.parse(source.read_text()).body:
+            for node in ast.walk(ast.parse(source.read_text())):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):

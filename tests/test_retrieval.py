@@ -189,6 +189,12 @@ class TestCsv:
         assert np.abs(s2.curves - s.curves).max() < 1e-11 * s.curves.max()
         assert text.endswith("\n") and "\r" not in text
 
+    def test_rejects_non_finite_magnitudes(self):
+        lines = rt.spectra_to_csv(rt.synth_response(TRUTH, FREQS[:60])).splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:-1] + ["nan"])
+        with pytest.raises(ValueError, match="finite"):
+            rt.spectra_from_csv("\n".join(lines))
+
 
 class TestCouplingSweep:
     def test_three_connection_settings_recovered(self):
@@ -211,3 +217,49 @@ class TestCouplingSweep:
                 res = rt.fit_parameters(data, MODEL, starts=8, seed=1000 + seed)
                 at_truth = np.sum((rt.response_magnitudes(truth, FREQS) - data.curves) ** 2)
                 assert res.rms_residual**2 * data.curves.size <= at_truth, (chi_over_k0, seed)
+
+
+class TestAlgebraicStart:
+    BOUNDS = dict(
+        kappa0=(3000.0, 6000.0), gamma0=(1.0, 20.0), chi=(100.0, 800.0), dchi=(-800.0, -10.0),
+        kappa=(-100.0, 100.0), gamma=(-2.0, 2.0), c=(0.2, 5.0),
+    )
+
+    def test_no_random_truth_ends_above_its_residual(self):
+        # All seven parameters free; the four best sign candidates are polished.
+        model = rt.FitModel(free=rt.PARAM_NAMES, bounds=self.BOUNDS)
+        rng = np.random.default_rng(2024)
+        for i in range(30):
+            truth = {name: rng.uniform(*self.BOUNDS[name]) for name in rt.PARAM_NAMES}
+            data = rt.synth_response(truth, FREQS, noise=0.01, seed=i)
+            res = rt.fit_parameters(data, model, starts=4)
+            at_truth = np.sum((rt.response_magnitudes(truth, FREQS) - data.curves) ** 2)
+            assert res.rms_residual**2 * data.curves.size <= at_truth, i
+
+    def test_vanishing_return_coupling(self):
+        # chi + dchi = 0: |G21| is identically zero and the ratio y21/y12 is 0.
+        truth = dict(TRUTH, dchi=-TRUTH["chi"])
+        data = rt.synth_response(truth, FREQS, noise=0.01, seed=1)
+        assert data.curves[1, 0].max() == 0.0
+        res = rt.fit_parameters(data, MODEL)
+        at_truth = np.sum((rt.response_magnitudes(truth, FREQS) - data.curves) ** 2)
+        assert res.rms_residual**2 * data.curves.size <= at_truth
+        assert abs(res.params["chi"] + res.params["dchi"]) < 1e-3 * truth["chi"]
+
+    def test_exact_start_is_not_a_failure(self):
+        # With everything but c pinned at the truth, the linear c is already exact.
+        model = rt.FitModel(free=("c",), bounds={"c": (0.2, 5.0)}, fixed={k: v for k, v in TRUTH.items() if k != "c"})
+        res = rt.fit_parameters(rt.synth_response(TRUTH, FREQS), model)
+        assert res.params["c"] == pytest.approx(1.0, rel=1e-15)
+        assert res.rms_residual < 1e-15
+
+    def test_vanishing_g12_raises(self):
+        data = rt.synth_response(dict(TRUTH, chi=0.0), FREQS)
+        with pytest.raises(ValueError, match="G12"):
+            rt.fit_parameters(data, MODEL)
+
+    def test_seed_does_not_change_the_result(self):
+        data = rt.synth_response(TRUTH, FREQS, noise=0.01, seed=5)
+        a = rt.fit_parameters(data, MODEL, starts=4, seed=0)
+        b = rt.fit_parameters(data, MODEL, starts=4, seed=99)
+        assert a == b

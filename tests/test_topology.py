@@ -3,7 +3,7 @@ import pytest
 from conftest import multiset_distance
 from scipy.optimize import linear_sum_assignment
 
-from excepta import models, qep, topology as topo
+from excepta import models, numkernel, qep, topology as topo
 
 DIAG = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -63,7 +63,7 @@ class TestTrackBands:
 
 
 class TestMatchBands:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_reaches_the_optimal_cost(self, n):
         rng = np.random.default_rng(40 + n)
         rows = np.arange(n)
@@ -89,8 +89,19 @@ class TestMatchBands:
         with pytest.raises(ValueError):
             topo.match_bands(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("n", [2, 8, 24])  # 4, 16 and 48 eigenfrequencies
+    def test_infinite_frequency_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            topo.match_bands(np.array([1.0, 2.0, 3.0]), np.array([1.0, np.inf, 3.0]))
+
+    def test_raises_above_the_cap(self):
+        w = np.arange(numkernel.MAX_ASSIGNMENT + 1, dtype=complex)
+        with pytest.raises(ValueError, match="at most"):
+            topo.match_bands(w, w.copy())
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 24])  # 4, 6, 16 and 48 eigenfrequencies
     def test_particle_hole_residual_is_the_multiset_distance(self, n):
+        # Exact up to the assignment cap; larger spectra raise, and only the
+        # oracle checks their pairing.
         rng = np.random.default_rng(n)
         for _ in range(5):
             q = qep.QuadraticMatrixPolynomial(
@@ -99,7 +110,13 @@ class TestMatchBands:
                 damping=0.4 * rng.normal(size=(n, n)),
             )
             s = qep.solve(q)
-            assert qep.particle_hole_residual(s) == multiset_distance(s.omegas, -s.omegas.conj())
+            distance = multiset_distance(s.omegas, -s.omegas.conj())
+            if 2 * n <= numkernel.MAX_ASSIGNMENT:
+                assert qep.particle_hole_residual(s) == distance
+            else:
+                assert distance < 1e-9
+                with pytest.raises(ValueError):
+                    qep.particle_hole_residual(s)
 
 
 class TestEnergyVorticity:
@@ -165,19 +182,8 @@ class TestDiscriminants:
     def test_pf_number_equals_twice_vorticity(self, theoretical_build):
         for loop in (er_loop(), in_plane_el_loop(0.3), strand_loop(+1)):
             nu = topo.energy_vorticity(topo.track_bands(theoretical_build, loop))
-            dn = topo.discriminant_number(theoretical_build, loop, "pf")
+            dn = topo.discriminant_number(theoretical_build, loop)
             assert abs(dn - 2 * nu) < 1e-9
-
-    def test_nf_opposite_pf(self, theoretical_build):
-        loop = in_plane_el_loop(0.3)
-        d_pf = topo.discriminant_number(theoretical_build, loop, "pf")
-        d_nf = topo.discriminant_number(theoretical_build, loop, "nf")
-        assert abs(d_pf + d_nf) < 1e-6
-        assert abs(abs(d_pf) - 1.0) < 1e-3
-
-    def test_full_set_trivial_for_real_qmp(self, theoretical_build):
-        for loop in (er_loop(), in_plane_el_loop(0.3)):
-            assert abs(topo.discriminant_number(theoretical_build, loop, "all")) < 1e-6
 
 
 class TestArcInvariant:
