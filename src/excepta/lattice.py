@@ -220,9 +220,8 @@ def evolve_wavepacket(
     spec: WavepacketSpec,
     times,
     slab: tuple[int, int] = (256, 256),
-    ky: float | None = None,
 ) -> list[WaveField]:
-    """Spectral time evolution of the two-band wavepacket over a slab.
+    """Spectral time evolution of the two-band wavepacket over a slab at the chain-point ky.
 
     Field(t; x, z) = sum_n sum_k w_k A0(k) e^{-i w_n(k) t} |Psi_n(k)> e^{i k r},
     evaluated as two matrix products per band and component (the k-sum is
@@ -231,8 +230,7 @@ def evolve_wavepacket(
     A snapshot is boundary-contaminated when its largest edge amplitude
     exceeds BOUNDARY_TOL of its peak.
     """
-    if ky is None:
-        ky = float(chain_point_coords(p)[1])
+    ky = float(chain_point_coords(p)[1])
     lx, lz = slab
     xs = np.arange(lx) - lx // 2
     zs = np.arange(lz) - lz // 2
@@ -287,11 +285,9 @@ def evolve_wavepacket(
     return out
 
 
-def max_growth_rates(p: LatticeParams, spec: WavepacketSpec, ky: float | None = None) -> tuple[float, float]:
-    """Largest Im(omega) of each band over the truncation window."""
-    if ky is None:
-        ky = float(chain_point_coords(p)[1])
-    omegas, _ = _tracked_window_bands(p, spec, ky)
+def max_growth_rates(p: LatticeParams, spec: WavepacketSpec) -> tuple[float, float]:
+    """Largest Im(omega) of each band over the truncation window at the chain-point ky."""
+    omegas, _ = _tracked_window_bands(p, spec, float(chain_point_coords(p)[1]))
     return (
         float(omegas[..., 0].imag.max()),
         float(omegas[..., 1].imag.max()),

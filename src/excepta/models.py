@@ -122,7 +122,7 @@ def theoretical_qmp(p: TheoreticalParams) -> QuadraticMatrixPolynomial:
         dtype=complex,
     )
     g = np.diag([p.gamma / 2.0, -p.gamma / 2.0]).astype(complex)
-    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g)
+    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g, derivatives=lambda: _THEORETICAL)
 
 
 def experimental_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial:
@@ -135,7 +135,7 @@ def experimental_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial:
         dtype=complex,
     )
     g = np.diag([p.gamma0 + p.gamma / 2.0, p.gamma0 - p.gamma / 2.0]).astype(complex)
-    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g)
+    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g, derivatives=lambda: _EXPERIMENTAL)
 
 
 def experimental_shifted_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial:
@@ -173,21 +173,56 @@ def lattice_bloch_qmp(p: LatticeParams) -> QuadraticMatrixPolynomial:
     cy = p.kappa2 * np.sin(p.kz) + 4.0j * p.dchi * np.sin(p.kx) * np.sin(p.ky)
     k = c0 * SIGMA_0 - cx * SIGMA_X - cy * SIGMA_Y
     return QuadraticMatrixPolynomial(
-        mass=p.m * SIGMA_0, stiffness=k, damping=-p.gamma * SIGMA_Z
+        mass=p.m * SIGMA_0, stiffness=k, damping=-p.gamma * SIGMA_Z, derivatives=lambda: _lattice_derivatives(p)
     )
 
 
+# d/d(gamma, chi, kappa) of K and G, each (3, 2, 2): both models are affine
+# in the point, so the derivatives are constants.
+_D_GAMMA, _D_CHI, _D_KAPPA = np.eye(3)[:, :, None, None]
+_HALF_SIGMA_Z = 0.5 * SIGMA_Z
+_THEORETICAL = (
+    _D_CHI * np.array([[0.0, -1.0], [-1.0, 0.0]]) + _D_KAPPA * _HALF_SIGMA_Z,
+    _D_GAMMA * _HALF_SIGMA_Z,
+)
+_EXPERIMENTAL = (
+    _D_CHI * np.array([[1.0, -1.0], [-1.0, 1.0]]) + _D_KAPPA * np.array([[0.0, 0.0], [0.0, -1.0]]),
+    _D_GAMMA * _HALF_SIGMA_Z,
+)
+for _shared in (*_THEORETICAL, *_EXPERIMENTAL):
+    _shared.flags.writeable = False
+
+
+def _lattice_derivatives(p: LatticeParams):
+    """d/d(kx, ky, kz) of K = c0 I - cx sigma_x - cy sigma_y; G does not depend on k."""
+    sin, cos = np.sin([p.kx, p.ky, p.kz]), np.cos([p.kx, p.ky, p.kz])
+    dcx = np.array([-4.0 * p.chi * sin[0] * cos[1], -4.0 * p.chi * cos[0] * sin[1], -p.kappa2 * sin[2]])
+    dcy = np.array([4.0j * p.dchi * cos[0] * sin[1], 4.0j * p.dchi * sin[0] * cos[1], p.kappa2 * cos[2]])
+    dk = -dcx[:, None, None] * SIGMA_X - dcy[:, None, None] * SIGMA_Y
+    return dk, np.zeros_like(dk)
+
+
 def perturb_stiffness(q: QuadraticMatrixPolynomial, delta_k) -> QuadraticMatrixPolynomial:
-    """Return a copy with K -> K + delta_k (symmetry-breaking probe)."""
+    """Return a copy with K -> K + delta_k (symmetry-breaking probe).
+
+    The copy keeps q's point derivatives, which holds for a delta_k that
+    does not depend on the point.
+    """
     return QuadraticMatrixPolynomial(
-        mass=q.mass, stiffness=q.stiffness + nk.as_matrix(delta_k), damping=q.damping
+        mass=q.mass, stiffness=q.stiffness + nk.as_matrix(delta_k), damping=q.damping,
+        derivatives=q.derivatives,
     )
 
 
 def perturb_damping(q: QuadraticMatrixPolynomial, delta_g) -> QuadraticMatrixPolynomial:
-    """Return a copy with G -> G + delta_g (e.g. unbalanced loss)."""
+    """Return a copy with G -> G + delta_g (e.g. unbalanced loss).
+
+    The copy keeps q's point derivatives, which holds for a delta_g that
+    does not depend on the point.
+    """
     return QuadraticMatrixPolynomial(
-        mass=q.mass, stiffness=q.stiffness, damping=q.damping + nk.as_matrix(delta_g)
+        mass=q.mass, stiffness=q.stiffness, damping=q.damping + nk.as_matrix(delta_g),
+        derivatives=q.derivatives,
     )
 
 

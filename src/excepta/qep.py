@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,11 +29,18 @@ class SpectralGapError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticMatrixPolynomial:
-    """Coefficient triple (mass, stiffness, damping), all N x N, mass nonsingular."""
+    """Coefficient triple (mass, stiffness, damping), all N x N, mass nonsingular.
+
+    `derivatives`, when a model builder sets it, is a zero-argument callable
+    returning (dK, dG), each (P, N, N): the derivatives of K and G along the
+    P coordinates of the point the QMP was built at (M is constant).  It is
+    evaluated only on request, so a QMP that is only solved pays nothing.
+    """
 
     mass: np.ndarray
     stiffness: np.ndarray
     damping: np.ndarray
+    derivatives: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = nk.as_matrix(self.mass)
@@ -212,6 +220,37 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[Eigen
             vecs = [nk.gauge_fix(basis[:, -1])] * mult
         right.update(zip(cluster, vecs))
     return tuple(EigenPair(omega=complex(w), right=right[i]) for i, w in enumerate(omegas))
+
+
+def pair_gradient(spectrum: Spectrum, dcoeffs) -> np.ndarray:
+    """Gradient of D+ = (wa - wb)^2 over the point coordinates, for the one PF pair.
+
+    `dcoeffs` is (dK, dG), each (P, N, N), as `QuadraticMatrixPolynomial.derivatives`
+    returns it.  With s = wa + wb and p = wa wb, one SVD of H^2 - sH + pI gives
+    the right and left invariant subspaces X, Y of the pair, which stay
+    two-dimensional where the pair coalesces.  On them T = (Y^H X)^-1 Y^H H X
+    and dT = (Y^H X)^-1 Y^H dH X, and D+ = tr(T)^2 - 4 det T gives
+    dD+ = 2 tr T tr dT - 4 tr(adj T dT) (Lancaster, Numer. Math. 6, 1964;
+    Andrew, Chu and Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  Unlike
+    the simple-eigenvalue formula it stays exact at an exceptional point.
+    Raises ValueError unless the spectrum has exactly one PF pair.
+    """
+    w = pf_omegas(spectrum)
+    if len(w) != 2:
+        raise ValueError(f"pair_gradient needs exactly one PF pair, not {len(w)} PF frequencies")
+    q = spectrum.qmp
+    n = q.dim
+    h = linearize(q)
+    u, _, vh = np.linalg.svd(h @ h - (w[0] + w[1]) * h + w[0] * w[1] * np.eye(2 * n))
+    x, yh = vh[-2:].conj().T, u[:, -2:].conj().T
+    yx = yh @ x
+    t = np.linalg.solve(yx, yh @ h @ x)
+    # dH = i [[0, 0], [-M^-1 dK, -M^-1 dG]] has only its lower block row.
+    dk, dg = dcoeffs
+    dhx = -1j * np.linalg.solve(q.mass, dk @ x[:n] + dg @ x[n:])
+    dt = np.linalg.solve(yx, yh[:, n:] @ dhx)
+    adj = np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]])
+    return 2.0 * np.trace(t) * np.trace(dt, axis1=-2, axis2=-1) - 4.0 * np.einsum("ij,pji->p", adj, dt)
 
 
 def particle_hole_residual(spectrum: Spectrum) -> float:

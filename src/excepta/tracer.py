@@ -16,13 +16,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import topology as topo
-from .qep import VERTEX_TOL, SpectralGapError, pf_omegas, solve
+from .qep import VERTEX_TOL, SpectralGapError, pair_gradient, pf_omegas, solve
 from .topology import circle_path, discriminant_number
 
-# Newton iterations of one refine_ep call, and the steepest-descent step used
-# when the Newton step vanishes.
+# Newton iterations of one refine_ep or newton_on_line call, and the
+# steepest-descent step used when the Newton step vanishes.
 REFINE_MAX_ITER = 60
 REFINE_STEP_FLOOR = 1e-10
+# Components of the exact gradient of D+ below this fraction of its norm are
+# treated as zero: a component that vanishes by symmetry is rounding noise
+# about eps times the norm, far below it.
+GRADIENT_RTOL = 1e-9
+# Smallest |c.t| / (|grad Re D+| |grad Im D+|), c = grad Re D+ x grad Im D+,
+# at which a vertex's local degree orients its line: the two gradients at
+# least 30 degrees from parallel with the tangent within 60 degrees of c.
+ORIENT_MARGIN = 0.5
 # Predictor-corrector steps per direction of one trace_el march.
 TRACE_MAX_STEPS = 4000
 
@@ -95,11 +103,6 @@ def plane_wavevector(axis: str, value: float = 0.0) -> PlaneSpec:
     u[(i + 1) % 3] = 1.0
     v[(i + 2) % 3] = 1.0
     return PlaneSpec(origin=origin, u=u, v=v, tag=f"k{axis}={value:g}")
-
-
-def pf_delta(build, point) -> complex:
-    """PF discriminant at one parameter point."""
-    return topo.pf_discriminant(solve(build(np.asarray(point, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -183,18 +186,22 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
     return cells
 
 
-def _fd_jacobian(f, x, h_rel=1e-6):
-    x = np.asarray(x, dtype=float)
-    f0 = f(x)
-    jac = np.zeros((len(f0), len(x)))
-    for k in range(len(x)):
-        h = h_rel * (1.0 + abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        jac[:, k] = (f(xp) - f(xm)) / (2.0 * h)
-    return f0, jac
+def _solve_at(build, point):
+    """Spectrum at one point, from a QMP that carries its point derivatives."""
+    q = build(np.asarray(point, dtype=float))
+    if q.derivatives is None:
+        raise ValueError("the builder's QMP carries no point derivatives (see models.builder)")
+    return solve(q)
+
+
+def _gradient(spectrum) -> np.ndarray:
+    """Complex gradient of D+ over the 3 point coordinates at a solved point."""
+    return pair_gradient(spectrum, spectrum.qmp.derivatives())
+
+
+def _basis(plane: PlaneSpec | None) -> np.ndarray:
+    """(3, d) map from local coordinates to point displacements."""
+    return np.eye(3) if plane is None else np.stack([plane.u, plane.v], axis=1)
 
 
 def refine_ep(
@@ -206,13 +213,19 @@ def refine_ep(
 ) -> np.ndarray:
     """Damped Newton root-solve of (Re D+, Im D+) = 0 from a candidate seed.
 
-    In-plane the second component vanishes identically, so the pseudo-inverse
-    step lands on the nearest point of the zero curve.  Stagnating Newton
-    falls back to steepest descent of |D+|^2.  With check_coalescence the
-    converged PF pair must be among the spectrum's `ep_clusters`, which
-    separates exceptional from diabolic degeneracies.
+    The Jacobian at each iterate is the exact pair gradient of D+
+    (`qep.pair_gradient`) at the spectrum already solved there, so one
+    Newton step costs the solves of its damping trials and nothing more.
+    In-plane the second component vanishes identically, so the
+    pseudo-inverse step lands on the nearest point of the zero curve.
+    Stagnating Newton falls back to steepest descent of |D+|^2.  With
+    check_coalescence the converged PF pair must be among the final
+    spectrum's `ep_clusters`, which separates exceptional from diabolic
+    degeneracies.  The builder's QMPs must carry point derivatives
+    (ValueError otherwise).
     """
     seed = np.asarray(seed, dtype=float)
+    basis = _basis(plane)
     if plane is not None:
         x = plane.coords(seed)
         to_point = lambda x: plane.point(x[0], x[1])
@@ -220,35 +233,35 @@ def refine_ep(
         x = seed.copy()
         to_point = lambda x: x
 
-    def f(x):
+    def evaluate(x):
+        """(|D+|, D+, spectrum) at x; |D+| is inf where the line gap closes."""
+        spectrum = _solve_at(build, to_point(x))
         try:
-            d = pf_delta(build, to_point(x))
-        except SpectralGapError as exc:
-            raise RefineError(f"left the line-gapped region near {to_point(x)}") from exc
-        return np.array([d.real, d.imag])
+            d = topo.pf_discriminant(spectrum)
+        except SpectralGapError:
+            return np.inf, None, spectrum
+        return abs(d), d, spectrum
 
-    def size(x):
-        try:
-            return float(np.linalg.norm(f(x)))
-        except RefineError:
-            return np.inf
-
-    current = size(x)
+    current, d, spectrum = evaluate(x)
     if not np.isfinite(current):
         raise RefineError("seed lies outside the line-gapped region", point=seed)
     for _ in range(REFINE_MAX_ITER):
         if current < delta_tol:
             break
-        f0, jac = _fd_jacobian(f, x)
-        # The cutoff sits above the central-difference noise floor (about
-        # eps / h_rel = 2e-10): a column that is zero by symmetry must stay zero.
-        step = -np.linalg.pinv(jac, rcond=1e-9) @ f0
+        f0 = np.array([d.real, d.imag])
+        grad = _gradient(spectrum) @ basis
+        jac = np.array([grad.real, grad.imag])
+        # On a symmetry plane Im D+ vanishes identically and its gradient row
+        # is rounding noise.  The cutoff drops that row, so the step solves
+        # only Re D+ = 0 and lands on the nearest point of the zero curve
+        # instead of following the noise.
+        step = -np.linalg.pinv(jac, rcond=GRADIENT_RTOL) @ f0
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
             trial = x + damp * step
-            trial_size = size(trial)
-            if trial_size < current:
-                x, current = trial, trial_size
+            evaluated = evaluate(trial)
+            if evaluated[0] < current:
+                x, (current, d, spectrum) = trial, evaluated
                 accepted = True
                 break
         if not accepted:
@@ -261,9 +274,9 @@ def refine_ep(
             scale = np.linalg.norm(step) or REFINE_STEP_FLOOR
             for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32):
                 trial = x + damp * scale * direction
-                trial_size = size(trial)
-                if trial_size < current:
-                    x, current = trial, trial_size
+                evaluated = evaluate(trial)
+                if evaluated[0] < current:
+                    x, (current, d, spectrum) = trial, evaluated
                     accepted = True
                     break
             if not accepted:
@@ -274,7 +287,6 @@ def refine_ep(
         )
     point = to_point(x)
     if check_coalescence:
-        spectrum = solve(build(point))
         pf = spectrum.omegas.real > 0
         if not any(pf[i] and pf[j] for i, j in spectrum.ep_clusters):
             raise DiabolicPointError(
@@ -308,24 +320,11 @@ class ExceptionalLine:
 
 
 def _tangent_from_jacobian(build, point, plane):
-    if plane is not None:
-        x = plane.coords(point)
-        to_point = lambda x: plane.point(x[0], x[1])
-    else:
-        x = np.asarray(point, dtype=float)
-        to_point = lambda x: x
-
-    def f(x):
-        d = pf_delta(build, to_point(x))
-        return np.array([d.real, d.imag])
-
-    _, jac = _fd_jacobian(f, x)
-    _, _, vh = np.linalg.svd(jac)
-    local = vh[-1]
-    if plane is not None:
-        t = local[0] * plane.u + local[1] * plane.v
-    else:
-        t = local
+    """Unit null direction of the exact (Re D+, Im D+) Jacobian at `point`."""
+    basis = _basis(plane)
+    grad = _gradient(_solve_at(build, point)) @ basis
+    _, _, vh = np.linalg.svd(np.array([grad.real, grad.imag]))
+    t = basis @ vh[-1]
     return t / np.linalg.norm(t)
 
 
@@ -344,15 +343,31 @@ def probe_orientation(build, point, tangent, radius: float, n: int = 64) -> int:
 
 
 def _orient(build, line: ExceptionalLine, radius: float) -> ExceptionalLine:
-    """`line` oriented by the probe nearest its midpoint that isolates it.
+    """`line` oriented by its local degree sign((grad Re D+ x grad Im D+) . t).
 
-    A loop about a vertex next to a chain point also encloses the other
-    lines meeting there and reads PFDN 0, so the probe walks outwards from
-    the midpoint to the first vertex that gives +-1.
+    Near a simple line D+ is linear across it, so a counterclockwise loop
+    about t winds D+ by sign(c . t), c = grad Re D+ x grad Im D+ (the 3-D
+    gradient, also for lines in a plane): the PFDN `probe_orientation`
+    reads, from one solve.  The walk goes outwards from the midpoint to the
+    first vertex whose margin |c . t| / (|grad Re D+| |grad Im D+|) clears
+    ORIENT_MARGIN; next to a chain point, where the lines meeting there make
+    D+ vanish to higher order, the margin falls.  If no vertex clears it,
+    probe loops of `radius` orient the line, walking outwards in the same
+    order to the first vertex that gives PFDN +-1.
     """
     mid = line.midpoint_index
+    order = sorted(range(len(line.polyline)), key=lambda i: (abs(i - mid), i))
+    for idx in order:
+        try:
+            grad = _gradient(_solve_at(build, line.polyline[idx]))
+        except SpectralGapError:
+            continue
+        c = np.cross(grad.real, grad.imag)
+        ct = float(c @ line.tangent_at(idx))
+        if abs(ct) > ORIENT_MARGIN * np.linalg.norm(grad.real) * np.linalg.norm(grad.imag):
+            return replace(line, orientation=1 if ct > 0 else -1)
     failure = None
-    for idx in sorted(range(len(line.polyline)), key=lambda i: (abs(i - mid), i)):
+    for idx in order:
         try:
             sign = probe_orientation(build, line.polyline[idx], line.tangent_at(idx), radius=radius)
         except RefineError as exc:
@@ -386,17 +401,20 @@ def trace_el(
 
     Stops on loop closure (a new segment passing the start point) or when
     leaving the axis-aligned `window` (lo, hi).  Open traces run both
-    directions from the start and are concatenated.  Every vertex is
-    corrector-refined to |D+| < VERTEX_TOL, and the line is oriented by a
-    probe loop of radius 3 * step.
+    directions from the start and are concatenated.  The launch tangent is
+    the null direction of the exact Jacobian at the refined start, every
+    vertex is corrector-refined to |D+| < VERTEX_TOL by `refine_ep`'s
+    Newton, and `_orient` orients the line from the pair gradient at one
+    vertex (probe loops of radius 3 * step only as its fallback).
     """
     start = refine_ep(build, start, plane=plane, check_coalescence=False)
+    launch = _tangent_from_jacobian(build, start, plane)
 
     def march(direction_sign):
         pts = [start]
         # Jacobian tangent to launch, secant tangents while marching; the
         # corrector keeps the polyline on the zero set either way.
-        tangent = _tangent_from_jacobian(build, start, plane) * direction_sign
+        tangent = launch * direction_sign
         for _ in range(TRACE_MAX_STEPS):
             current = pts[-1]
             local_step = step
@@ -471,25 +489,37 @@ def _closest_approach(a: np.ndarray, b: np.ndarray):
 
 
 def newton_on_line(build, origin, direction, t0, tol=1e-12):
-    """1D Newton for the real discriminant zero along the symmetry line."""
+    """1-D Newton for the zero of Re D+ on the line origin + t * direction.
+
+    The slope d Re D+ / dt is the pair gradient of D+ along the direction, at
+    the spectrum solved for the iterate, so each iteration is one solve.
+    Returns the point once a step falls below tol * (1 + |t|).  Raises
+    RefineError with the iterate's point and |D+| when the slope is zero
+    (at most GRADIENT_RTOL |grad D+|) or not finite, when the line gap
+    closes, or when REFINE_MAX_ITER iterations pass without convergence.
+    """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     origin = np.asarray(origin, dtype=float)
     t = float(t0)
-    for _ in range(60):
-        val = pf_delta(build, origin + t * direction).real
-        h = 1e-7 * (1.0 + abs(t))
-        dval = (
-            pf_delta(build, origin + (t + h) * direction).real
-            - pf_delta(build, origin + (t - h) * direction).real
-        ) / (2.0 * h)
-        if dval == 0:
-            break
-        step = -val / dval
+    for _ in range(REFINE_MAX_ITER):
+        point = origin + t * direction
+        spectrum = _solve_at(build, point)
+        try:
+            d = topo.pf_discriminant(spectrum)
+        except SpectralGapError as exc:
+            raise RefineError(f"Newton on the line left the line-gapped region at {point}", point=point) from exc
+        grad = _gradient(spectrum)
+        slope = float((grad @ direction).real)
+        if not (np.isfinite(slope) and abs(slope) > GRADIENT_RTOL * np.linalg.norm(grad)):
+            raise RefineError(f"discriminant slope {slope} along the line gives no Newton step",
+                              point=point, value=abs(d))
+        step = -d.real / slope
         t += step
         if abs(step) < tol * (1.0 + abs(t)):
-            break
-    return origin + t * direction
+            return origin + t * direction
+    raise RefineError(f"Newton on the line did not converge in {REFINE_MAX_ITER} iterations",
+                      point=point, value=abs(d))
 
 
 def _distance_to_line(points: np.ndarray, line: ExceptionalLine) -> np.ndarray:
@@ -545,12 +575,15 @@ def assemble_chain(
     Junction nodes come from closest approaches (and endpoint collisions)
     between distinct lines within `junction_tol`; optionally each node is
     re-refined along a given high-symmetry line (origin, direction).  Edges
-    are split at the nodes, re-oriented by probe loops (radius three median
-    steps) near their midpoints, and each node's in/out counts are compared;
+    are split at the nodes, re-oriented by `_orient` (local degree near their
+    midpoints; probe loops of radius three median steps only as its
+    fallback), and each node's in/out counts are compared;
     an unbalanced node flags the graph invalid, which is the detection
     mechanism for broken symmetry.
     Raises DuplicateLineError when all vertices of one input line lie within
-    half a step of another, i.e. the same line was traced twice.
+    half a step of another, i.e. the same line was traced twice, and
+    RefineError when a node refined along the line moves more than
+    2 * junction_tol from its candidate.
     """
     median_step = float(np.median([np.median(np.linalg.norm(np.diff(l.polyline, axis=0), axis=1)) for l in edges]))
     for a in range(len(edges)):
@@ -585,7 +618,13 @@ def assemble_chain(
         refined = []
         for n in nodes:
             t0 = float(np.dot(n - np.asarray(origin, dtype=float), direction))
-            refined.append(newton_on_line(build, origin, direction, t0))
+            node = newton_on_line(build, origin, direction, t0)
+            if np.linalg.norm(node - n) > 2.0 * junction_tol:
+                raise RefineError(
+                    f"chain node refined along the line moved {np.linalg.norm(node - n):.3e} from its candidate "
+                    f"{n}, more than 2 * junction_tol", point=node,
+                )
+            refined.append(node)
         nodes = refined
     nodes.sort(key=lambda n: tuple(np.round(n, 6)))
 

@@ -273,6 +273,22 @@ class TestExitCodes:
         assert err["point"] == [0.0, 0.0, 3.0]
 
 
+    def test_chain_node_refinement_failure_reports_its_point(self, tmp_path):
+        # Along gamma the node refinement passes through the chain point at
+        # chi = 0, where Re D+ has a double zero: Newton on the line cannot
+        # meet its tolerance, and the run exits 3 instead of crashing.
+        def refine_along_gamma(cfg):
+            cfg["refine_line"]["direction"] = [1.0, 0.0, 0.0]
+
+        cfg = tmp_path / "chain_gamma.json"
+        cfg.write_text(json.dumps(edited_config("chain_theoretical", refine_along_gamma)))
+        res = run_cli(["chain", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.returncode == 3
+        err = json.loads(res.stderr)
+        assert err["error"] == "RefineError"
+        assert len(err["point"]) == 3
+
+
 class TestColdStart:
     # numpy is the only runtime dependency: no library module imports scipy,
     # and every example config runs where importing it fails.

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import multiset_distance
-from excepta import qep
+from excepta import models, qep, topology
 from excepta.numkernel import MAX_ASSIGNMENT
 from excepta.models import ExperimentalParams, TheoreticalParams, experimental_qmp, theoretical_qmp
 from excepta.qep import QuadraticMatrixPolynomial as QMP
@@ -224,3 +224,54 @@ class TestPfBands:
             qep.pf_bands(s)
         with pytest.raises(qep.SpectralGapError):
             qep.pf_omegas(s)
+
+
+class TestPairGradient:
+    # (builder, half-width of the sampled cube) for every model that carries derivatives.
+    BUILDERS = {
+        "theoretical": (lambda: models.theoretical_builder(dchi=-0.05), 0.3),
+        "experimental": (lambda: models.builder(ExperimentalParams()), 0.3),
+        "lattice": (lambda: models.builder(models.LatticeParams()), np.pi),
+        "theoretical_delta_k": (
+            lambda: models.theoretical_builder(dchi=-0.05, delta_k=np.array([[0.0, 0.01j], [0.003, 0.0]])),
+            0.3,
+        ),
+    }
+
+    @staticmethod
+    def gradient(build, point):
+        q = build(np.asarray(point, dtype=float))
+        return qep.pair_gradient(qep.solve(q), q.derivatives())
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_central_differences(self, name):
+        make, half = self.BUILDERS[name]
+        build = make()
+
+        def delta(x):
+            return topology.pf_discriminant(qep.solve(build(x)))
+
+        rng = np.random.default_rng(33)
+        for _ in range(12):
+            x = rng.uniform(-half, half, 3)
+            fd = np.zeros(3, dtype=complex)
+            for k in range(3):
+                h = np.zeros(3)
+                h[k] = 1e-6 * (1.0 + abs(x[k]))
+                fd[k] = (delta(x + h) - delta(x - h)) / (2.0 * h[k])
+            assert np.abs(self.gradient(build, x) - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    def test_exact_at_the_exceptional_chain_point(self):
+        # D+ = 0 here, where the simple-eigenvalue formula breaks down.
+        grad = self.gradient(models.theoretical_builder(dchi=-0.05), (0.0, 0.05, 0.0))
+        assert np.abs(grad - np.array([0.0, 0.05, 0.0])).max() < 1e-12
+
+    def test_more_than_one_pf_pair_raises(self):
+        q = QMP(mass=np.eye(3), stiffness=np.diag([1.0, 2.0, 3.0]), damping=0.01 * np.eye(3))
+        with pytest.raises(ValueError, match="one PF pair"):
+            qep.pair_gradient(qep.solve(q), (np.zeros((1, 3, 3)), np.zeros((1, 3, 3))))
+
+    def test_perturbations_keep_the_derivatives(self):
+        q = split_model()
+        assert models.perturb_stiffness(q, 0.01 * np.eye(2)).derivatives is q.derivatives
+        assert models.perturb_damping(q, 0.01 * np.eye(2)).derivatives is q.derivatives

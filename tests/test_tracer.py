@@ -1,15 +1,20 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from excepta import models, qep, topology, tracer
+from excepta import lattice, models, qep, topology, tracer
 from excepta import numkernel as nk
-from excepta.tracer import pf_delta
 
 WIN = (np.array([-0.3, -0.25, -0.2]), np.array([0.3, 0.3, 0.2]))
 TRACE_ER_CSV = Path(__file__).resolve().parent.parent / "goldens" / "trace_er.csv"
+
+
+def pf_delta(build, point) -> complex:
+    """PF discriminant at one parameter point."""
+    return topology.pf_discriminant(qep.solve(build(np.asarray(point, dtype=float))))
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +196,10 @@ class TestAssembleChain:
         # junctions persist, displaced from the high-symmetry line.
         def build(g):
             q = models.theoretical_qmp(models.TheoreticalParams(dchi=-0.05).at(g))
-            return models.perturb_damping(q, np.diag([0.1 * g[0], 0.0]))
+            # The perturbation depends on gamma, so its derivative joins the model's.
+            dk, dg = q.derivatives()
+            dg = dg + np.multiply.outer([1.0, 0.0, 0.0], np.diag([0.1, 0.0]))
+            return replace(models.perturb_damping(q, np.diag([0.1 * g[0], 0.0])), derivatives=lambda: (dk, dg))
 
         win = (np.array([-0.22, -0.2, -0.12]), np.array([0.22, 0.3, 0.12]))
         er = tracer.trace_el(build, (0.0, 0.049, 0.004), step=0.006, window=win, plane=tracer.plane_gamma0())
@@ -260,3 +268,99 @@ class TestFrequencyOnlyPath:
         assert abs(pf_delta(theoretical_build, (0.0, 0.05, 0.0))) < 1e-12
         p = tracer.refine_ep(theoretical_build, (0.0, 0.043, 0.0), plane=tracer.plane_kappa0())
         assert np.abs(p - [0.0, 0.05, 0.0]).max() < 1e-7
+
+
+def degree_sign(build, point, tangent) -> int:
+    """sign((grad Re D+ x grad Im D+) . t) from the exact pair gradient."""
+    q = build(np.asarray(point, dtype=float))
+    grad = qep.pair_gradient(qep.solve(q), q.derivatives())
+    return int(np.sign(np.cross(grad.real, grad.imag) @ tangent))
+
+
+def assert_degree_matches_probes(build, lines, nodes, step):
+    """At every vertex more than 2 steps from a node, the degree sign equals a probe loop of radius step."""
+    checked = 0
+    for line in lines:
+        for i, vertex in enumerate(line.polyline):
+            if min((np.linalg.norm(vertex - n) for n in nodes), default=np.inf) <= 2.0 * step:
+                continue
+            t = line.tangent_at(i)
+            assert degree_sign(build, vertex, t) == tracer.probe_orientation(build, vertex, t, radius=step), vertex
+            checked += 1
+    return checked
+
+
+class TestExactDerivatives:
+    def test_builder_called_once_per_solve(self, theoretical_build, chain_lines, monkeypatch):
+        calls = {"build": 0, "solve": 0}
+
+        def build(g):
+            calls["build"] += 1
+            return theoretical_build(g)
+
+        def counted(q):
+            calls["solve"] += 1
+            return qep.solve(q)
+
+        monkeypatch.setattr(tracer, "solve", counted)
+        monkeypatch.setattr(topology, "solve", counted)
+        tracer.refine_ep(build, (0.0, 0.043, 0.0), plane=tracer.plane_kappa0())
+        tracer.trace_el(build, (0.0, 0.049, 0.004), step=0.006, window=WIN, plane=tracer.plane_gamma0())
+        tracer.assemble_chain(build, list(chain_lines), junction_tol=0.012, refine_line=((0, 0, 0), (0, 1, 0)))
+        assert calls["build"] == calls["solve"] > 0
+
+    def test_lines_and_chain_pieces_need_no_probe_loops(self, theoretical_build, chain_lines, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("probe loop run although a vertex clears ORIENT_MARGIN")
+
+        monkeypatch.setattr(tracer, "probe_orientation", forbidden)
+        tracer.trace_el(theoretical_build, (0.2, 0.106, 0.0), step=0.006, window=WIN, plane=tracer.plane_kappa0())
+        graph = tracer.assemble_chain(
+            theoretical_build, list(chain_lines), junction_tol=0.012, refine_line=((0, 0, 0), (0, 1, 0))
+        )
+        assert graph.valid
+
+    def test_qmp_without_derivatives_raises(self, theoretical_build):
+        def bare(g):
+            q = theoretical_build(g)
+            return qep.QuadraticMatrixPolynomial(mass=q.mass, stiffness=q.stiffness, damping=q.damping)
+
+        with pytest.raises(ValueError, match="derivatives"):
+            tracer.refine_ep(bare, (0.0, 0.043, 0.0), plane=tracer.plane_kappa0())
+
+    def test_degree_sign_equals_probe_on_chain_lines(self, theoretical_build, chain_lines):
+        nodes = [np.zeros(3), np.array([0.0, 0.05, 0.0])]
+        assert assert_degree_matches_probes(theoretical_build, chain_lines, nodes, 0.006) > 200
+
+    def test_degree_sign_equals_probe_on_lattice_lines(self):
+        # The two confined lines of acceptance criterion 9.
+        p = models.LatticeParams()
+        build = models.builder(p)
+        kcp = lattice.chain_point_coords(p)
+        win = (kcp + np.array([-0.3, -0.35, -0.3]), kcp + np.array([0.3, 0.35, 0.3]))
+        lines = [
+            tracer.trace_el(build, kcp + np.array([0.0, 0.1, 0.05]), step=0.01, window=win, plane=None),
+            tracer.trace_el(build, kcp + np.array([0.05, -0.1, 0.0]), step=0.01, window=win, plane=None),
+        ]
+        assert assert_degree_matches_probes(build, lines, [kcp], 0.01) > 100
+
+
+class TestNewtonOnLine:
+    def test_zero_slope_raises_with_point_and_value(self, theoretical_build):
+        # Re D+ is even in gamma, so its slope along gamma vanishes on gamma = 0.
+        with pytest.raises(tracer.RefineError) as info:
+            tracer.newton_on_line(theoretical_build, (0.0, 0.02, 0.0), (1.0, 0.0, 0.0), 0.0)
+        assert np.array_equal(info.value.point, [0.0, 0.02, 0.0])
+        assert info.value.value == pytest.approx(6.0e-4, rel=1e-3)
+
+    def test_converges_to_the_chain_point(self, theoretical_build):
+        point = tracer.newton_on_line(theoretical_build, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.043)
+        assert np.abs(point - [0.0, 0.05, 0.0]).max() < 1e-12
+
+    def test_node_moved_past_junction_tol_raises(self, theoretical_build, chain_lines):
+        # At kappa = 0.04 the line along chi meets the ring at chi = 0.01, 0.04 away from the node at 0.
+        with pytest.raises(tracer.RefineError, match="junction_tol") as info:
+            tracer.assemble_chain(
+                theoretical_build, list(chain_lines), junction_tol=0.012, refine_line=((0, 0, 0.04), (0, 1, 0))
+            )
+        assert np.abs(info.value.point - [0.0, 0.01, 0.04]).max() < 1e-9
