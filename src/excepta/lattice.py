@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LatticeParams, builder, lattice_bloch_qmp
+from .models import LatticeParams, builder, coefficients
 from .qep import csv_text, frequency_clusters, pf_bands, pf_omegas, simple_vectors, solve
 from .topology import match_bands
 from .tracer import newton_on_line
@@ -74,10 +74,11 @@ def band_slice(
 
     Rows are matched left-to-right and each row to the one before it by
     minimal |delta omega|; nodes with a frequency cluster are recorded in
-    bad_cells rather than aborting.  The loop solves for
-    frequencies only; the eigenvectors of every tracked band then come from
-    one stacked SVD.  A node whose spectrum has a frequency cluster (an EP
-    puncture) takes its vectors from its own `pf_bands` instead.
+    bad_cells rather than aborting.  One table holds the model over the grid;
+    the loop solves each node's view for frequencies only, and the
+    eigenvectors of every tracked band then come from one stacked SVD of the
+    table.  A node whose spectrum has a frequency cluster (an EP puncture)
+    takes its vectors from its own `pf_bands` instead.
     """
     nx, nz = grid
     if nx < 2 or nz < 2:
@@ -85,17 +86,16 @@ def band_slice(
     (kx0, kx1), (kz0, kz1) = window
     kxs = np.linspace(kx0, kx1, nx)
     kzs = np.linspace(kz0, kz1, nz)
+    kx, kz = np.meshgrid(kxs, kzs, indexing="ij")
+    table = coefficients(p, np.stack([kx, np.full_like(kx, ky), kz], axis=-1))
     omegas = np.zeros((nx, nz, 2), dtype=complex)
-    coeffs = np.zeros((3, nx, nz, 1, 2, 2), dtype=complex)  # M, K, G per node
     clustered: dict[tuple[int, int], np.ndarray] = {}
     bad: list[tuple[int, int]] = []
 
     for i in range(nx):
         for j in range(nz):
-            q = lattice_bloch_qmp(p.at((kxs[i], ky, kzs[j])))
-            spectrum = solve(q)
+            spectrum = solve(table.qmp(i * nz + j))
             w = pf_omegas(spectrum)
-            coeffs[:, i, j, 0] = q.mass, q.stiffness, q.damping
             if i == 0 and j == 0:
                 cols = [0, 1]
             else:
@@ -104,12 +104,11 @@ def band_slice(
             if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
                 bad.append((i, j))
                 clustered[i, j] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
-    vectors = simple_vectors(*coeffs, omegas)
+    node = (nx, nz, 1, 2, 2)
+    vectors = simple_vectors(table.mass, table.stiffness.reshape(node), table.damping.reshape(node), omegas)
     for cell, v in clustered.items():
         vectors[cell] = v
-    return BandField(
-        kx=kxs, kz=kzs, ky=ky, omegas=omegas, vectors=vectors, bad_cells=tuple(bad)
-    )
+    return BandField(kx=kxs, kz=kzs, ky=ky, omegas=omegas, vectors=vectors, bad_cells=tuple(bad))
 
 
 def crossing_slopes(p: LatticeParams, center, axis: str, half_range: float, n: int = 9):
@@ -123,18 +122,13 @@ def crossing_slopes(p: LatticeParams, center, axis: str, half_range: float, n: i
     center = np.asarray(center, dtype=float)
     ax = {"x": 0, "y": 1, "z": 2}[axis]
     ts = np.concatenate([np.linspace(-half_range, -half_range / n, n), np.linspace(half_range / n, half_range, n)])
-    re_abs, im_abs = [], []
-    for t in ts:
-        k = center.copy()
-        k[ax] += t
-        w = pf_omegas(solve(lattice_bloch_qmp(p.at(k))))
-        re_abs.append(abs((w[0] - w[1]).real))
-        im_abs.append(abs((w[0] - w[1]).imag))
+    ks = np.tile(center, (len(ts), 1))
+    ks[:, ax] += ts
+    table = coefficients(p, ks)
+    split = np.array([np.subtract(*pf_omegas(solve(table.qmp(i)))) for i in range(len(ts))])
     tt = np.abs(ts)
     denom = float(np.dot(tt, tt))
-    re_slope = float(np.dot(tt, re_abs) / denom)
-    im_slope = float(np.dot(tt, im_abs) / denom)
-    return re_slope, im_slope
+    return float(np.dot(tt, np.abs(split.real)) / denom), float(np.dot(tt, np.abs(split.imag)) / denom)
 
 
 def refine_chain_point_on_axis(p: LatticeParams, ky0: float, tol: float = 1e-12) -> float:

@@ -1,4 +1,4 @@
-"""Constructors for the concrete oscillator systems.
+"""Coefficient tables of the concrete oscillator systems.
 
 Three families share the synthetic parameter point g = (gamma, chi, kappa):
 
@@ -6,6 +6,9 @@ Three families share the synthetic parameter point g = (gamma, chi, kappa):
 * experimental -- same pair with a constant background loss gamma0,
 * lattice      -- Bloch form of a 3D two-sublattice mass-spring crystal,
                   where g is replaced by the wavevector k.
+
+`coefficients` evaluates a family over a stack of points at once; every QMP
+a model hands out, `builder`'s included, is a view of such a table.
 
 Also here: the quasi-degenerate two-band reduction.
 """
@@ -38,8 +41,8 @@ class TheoreticalParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.m0 <= 0:
-            raise ValueError("m0 must be positive")
+        if not 0.0 < self.m0 < np.inf:  # so the mass m0 I is nonsingular
+            raise ValueError("m0 must be positive and finite")
         if self.kbar <= 0:
             raise ValueError("kbar must be positive")
 
@@ -65,8 +68,8 @@ class ExperimentalParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.m0 <= 0:
-            raise ValueError("m0 must be positive")
+        if not 0.0 < self.m0 < np.inf:  # so the mass m0 I is nonsingular
+            raise ValueError("m0 must be positive and finite")
         if self.kappa0 <= 0:
             raise ValueError("kappa0 must be positive")
         if self.gamma0 < 0:
@@ -97,45 +100,110 @@ class LatticeParams:
     kz: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("m must be positive")
+        if not 0.0 < self.m < np.inf:  # so the mass m I is nonsingular
+            raise ValueError("m must be positive and finite")
         for name in ("kx", "ky", "kz"):
             if abs(getattr(self, name)) > np.pi + 1e-9:
                 raise ValueError(f"{name} outside the first Brillouin zone")
 
-    def at(self, k) -> "LatticeParams":
-        k = np.asarray(k, dtype=float)
-        return replace(self, kx=k[0], ky=k[1], kz=k[2])
+
+class Table(NamedTuple):
+    """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N),
+    and their derivatives dstiffness, ddamping (P, 3, N, N) along the point coordinates."""
+
+    mass: np.ndarray
+    stiffness: np.ndarray
+    damping: np.ndarray
+    dstiffness: np.ndarray
+    ddamping: np.ndarray
+
+    def qmp(self, i: int) -> QuadraticMatrixPolynomial:
+        """The QMP at point i: a view of the validated stack that carries its derivatives."""
+        d = self.dstiffness[i], self.ddamping[i]
+        return QuadraticMatrixPolynomial._from_table(self.mass, self.stiffness[i], self.damping[i], lambda: d)
 
 
-def theoretical_qmp(p: TheoreticalParams) -> QuadraticMatrixPolynomial:
+def _matrices(n: int, *entries) -> np.ndarray:
+    """(n, 2, 2) complex stack from its four row-major entries, each a scalar or an (n,) array."""
+    out = np.empty((n, 4), dtype=complex)
+    for j, entry in enumerate(entries):
+        out[:, j] = entry
+    return out.reshape(n, 2, 2)
+
+
+# d/d(gamma, chi, kappa) of K and G, each (3, 2, 2), entry by entry: both
+# models are affine in g, so the derivatives are constants.
+_THEORETICAL = _matrices(3, (0, 0, 0.5), (0, -1, 0), (0, -1, 0), (0, 0, -0.5)), _matrices(3, (0.5, 0, 0), 0, 0, (-0.5, 0, 0))
+_EXPERIMENTAL = _matrices(3, (0, 1, 0), (0, -1, 0), (0, -1, 0), (0, 1, -1)), _THEORETICAL[1]
+
+
+def _theoretical(p: TheoreticalParams, g: np.ndarray) -> Table:
     """M = m0 I, K with nonreciprocal coupling, trace-free damping.
 
     K = [[kbar + kappa/2, -chi], [-chi - dchi, kbar - kappa/2]],
     G = diag(gamma/2, -gamma/2).
     """
-    k = np.array(
-        [
-            [p.kbar + p.kappa / 2.0, -p.chi],
-            [-p.chi - p.dchi, p.kbar - p.kappa / 2.0],
-        ],
-        dtype=complex,
-    )
-    g = np.diag([p.gamma / 2.0, -p.gamma / 2.0]).astype(complex)
-    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g, derivatives=lambda: _THEORETICAL)
+    (gamma, chi, kappa), n = g.T, len(g)
+    half_kappa, half_gamma, minus_chi = kappa / 2.0, gamma / 2.0, -chi
+    k = _matrices(n, p.kbar + half_kappa, minus_chi, minus_chi - p.dchi, p.kbar - half_kappa)
+    gg = _matrices(n, half_gamma, 0.0, 0.0, -half_gamma)
+    return Table(p.m0 * SIGMA_0, k, gg, *(d[None].repeat(n, axis=0) for d in _THEORETICAL))
+
+
+def _experimental(p: ExperimentalParams, g: np.ndarray) -> Table:
+    """K = [[k0+chi, -chi], [-chi-dchi, k0-kappa+chi]], G = gamma0 +- gamma/2."""
+    (gamma, chi, kappa), n = g.T, len(g)
+    half_gamma, minus_chi = gamma / 2.0, -chi
+    k = _matrices(n, p.kappa0 + chi, minus_chi, minus_chi - p.dchi, p.kappa0 - kappa + chi)
+    gg = _matrices(n, p.gamma0 + half_gamma, 0.0, 0.0, p.gamma0 - half_gamma)
+    return Table(p.m0 * SIGMA_0, k, gg, *(d[None].repeat(n, axis=0) for d in _EXPERIMENTAL))
+
+
+def _lattice(p: LatticeParams, k: np.ndarray) -> Table:
+    """Bloch coefficients of the 3D lattice at wavevectors k.
+
+    K = c0 I - cx sigma_x - cy sigma_y with
+        c0 = kappa0 + kappa1 + kappa2 + 4 chi
+        cx = kappa1 + kappa2 cos kz + 4 chi cos kx cos ky
+        cy = kappa2 sin kz + 4 i dchi sin kx sin ky
+    and G = -gamma sigma_z.  The dchi term makes K non-Hermitian except on
+    the planes where sin kx sin ky = 0.  dK follows from the trig
+    derivatives of cx and cy.  Every k must lie in the first Brillouin zone.
+    """
+    if np.abs(k).max(initial=0.0) > np.pi + 1e-9:
+        raise ValueError(f"{('kx', 'ky', 'kz')[np.abs(k).max(axis=0).argmax()]} outside the first Brillouin zone")
+    n, (sin_x, sin_y, sin_z), (cos_x, cos_y, cos_z) = len(k), np.sin(k).T, np.cos(k).T
+    c0 = p.kappa0 + p.kappa1 + p.kappa2 + 4.0 * p.chi
+    cx = p.kappa1 + p.kappa2 * cos_z + 4.0 * p.chi * cos_x * cos_y
+    cy = p.kappa2 * sin_z + 4.0j * p.dchi * sin_x * sin_y
+    stiffness = c0 * SIGMA_0 - cx[:, None, None] * SIGMA_X - cy[:, None, None] * SIGMA_Y
+    dcx = np.stack([-4.0 * p.chi * sin_x * cos_y, -4.0 * p.chi * cos_x * sin_y, -p.kappa2 * sin_z], axis=1)
+    dcy = np.stack([4.0j * p.dchi * cos_x * sin_y, 4.0j * p.dchi * sin_x * cos_y, p.kappa2 * cos_z], axis=1)
+    dk = -dcx[..., None, None] * SIGMA_X - dcy[..., None, None] * SIGMA_Y
+    damping = (-p.gamma * SIGMA_Z)[None].repeat(n, axis=0)
+    return Table(p.m * SIGMA_0, stiffness, damping, dk, np.zeros_like(dk))
+
+
+def coefficients(params, points) -> Table:
+    """The model of params at a (P, 3) array of points (g, or k for the lattice), validated once.
+
+    The params dataclass has validated the mass; finiteness is checked once
+    per stack, and the lattice's Brillouin zone once on its extreme |k|.
+    """
+    table = _TABLES[type(params)](params, np.asarray(points, dtype=float).reshape(-1, 3))
+    if not (np.isfinite(table.stiffness).all() and np.isfinite(table.damping).all()):
+        raise ValueError("model coefficients have non-finite entries")
+    return table
+
+
+def theoretical_qmp(p: TheoreticalParams) -> QuadraticMatrixPolynomial:
+    """The theoretical model at p's own point g."""
+    return coefficients(p, p.g).qmp(0)
 
 
 def experimental_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial:
-    """K = [[k0+chi, -chi], [-chi-dchi, k0-kappa+chi]], G = gamma0 +- gamma/2."""
-    k = np.array(
-        [
-            [p.kappa0 + p.chi, -p.chi],
-            [-p.chi - p.dchi, p.kappa0 - p.kappa + p.chi],
-        ],
-        dtype=complex,
-    )
-    g = np.diag([p.gamma0 + p.gamma / 2.0, p.gamma0 - p.gamma / 2.0]).astype(complex)
-    return QuadraticMatrixPolynomial(mass=p.m0 * SIGMA_0, stiffness=k, damping=g, derivatives=lambda: _EXPERIMENTAL)
+    """The experimental model at p's own point g."""
+    return coefficients(p, p.g).qmp(0)
 
 
 def experimental_shifted_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial:
@@ -150,80 +218,13 @@ def experimental_shifted_qmp(p: ExperimentalParams) -> QuadraticMatrixPolynomial
     """
     q = experimental_qmp(p)
     g_bal = np.diag([p.gamma / 2.0, -p.gamma / 2.0]).astype(complex)
-    k_shift = (
-        q.stiffness
-        - (p.gamma0 / (2.0 * p.m0)) * g_bal
-        - (p.gamma0**2 / (4.0 * p.m0)) * SIGMA_0
-    )
+    k_shift = q.stiffness - (p.gamma0 / (2.0 * p.m0)) * g_bal - (p.gamma0**2 / (4.0 * p.m0)) * SIGMA_0
     return QuadraticMatrixPolynomial(mass=q.mass, stiffness=k_shift, damping=g_bal)
 
 
 def lattice_bloch_qmp(p: LatticeParams) -> QuadraticMatrixPolynomial:
-    """Bloch QMP of the 3D lattice at wavevector k.
-
-    K = c0 I - cx sigma_x - cy sigma_y with
-        c0 = kappa0 + kappa1 + kappa2 + 4 chi
-        cx = kappa1 + kappa2 cos kz + 4 chi cos kx cos ky
-        cy = kappa2 sin kz + 4 i dchi sin kx sin ky
-    and G = -gamma sigma_z.  The dchi term makes K non-Hermitian except on
-    the planes where sin kx sin ky = 0.
-    """
-    c0 = p.kappa0 + p.kappa1 + p.kappa2 + 4.0 * p.chi
-    cx = p.kappa1 + p.kappa2 * np.cos(p.kz) + 4.0 * p.chi * np.cos(p.kx) * np.cos(p.ky)
-    cy = p.kappa2 * np.sin(p.kz) + 4.0j * p.dchi * np.sin(p.kx) * np.sin(p.ky)
-    k = c0 * SIGMA_0 - cx * SIGMA_X - cy * SIGMA_Y
-    return QuadraticMatrixPolynomial(
-        mass=p.m * SIGMA_0, stiffness=k, damping=-p.gamma * SIGMA_Z, derivatives=lambda: _lattice_derivatives(p)
-    )
-
-
-# d/d(gamma, chi, kappa) of K and G, each (3, 2, 2): both models are affine
-# in the point, so the derivatives are constants.
-_D_GAMMA, _D_CHI, _D_KAPPA = np.eye(3)[:, :, None, None]
-_HALF_SIGMA_Z = 0.5 * SIGMA_Z
-_THEORETICAL = (
-    _D_CHI * np.array([[0.0, -1.0], [-1.0, 0.0]]) + _D_KAPPA * _HALF_SIGMA_Z,
-    _D_GAMMA * _HALF_SIGMA_Z,
-)
-_EXPERIMENTAL = (
-    _D_CHI * np.array([[1.0, -1.0], [-1.0, 1.0]]) + _D_KAPPA * np.array([[0.0, 0.0], [0.0, -1.0]]),
-    _D_GAMMA * _HALF_SIGMA_Z,
-)
-for _shared in (*_THEORETICAL, *_EXPERIMENTAL):
-    _shared.flags.writeable = False
-
-
-def _lattice_derivatives(p: LatticeParams):
-    """d/d(kx, ky, kz) of K = c0 I - cx sigma_x - cy sigma_y; G does not depend on k."""
-    sin, cos = np.sin([p.kx, p.ky, p.kz]), np.cos([p.kx, p.ky, p.kz])
-    dcx = np.array([-4.0 * p.chi * sin[0] * cos[1], -4.0 * p.chi * cos[0] * sin[1], -p.kappa2 * sin[2]])
-    dcy = np.array([4.0j * p.dchi * cos[0] * sin[1], 4.0j * p.dchi * sin[0] * cos[1], p.kappa2 * cos[2]])
-    dk = -dcx[:, None, None] * SIGMA_X - dcy[:, None, None] * SIGMA_Y
-    return dk, np.zeros_like(dk)
-
-
-def perturb_stiffness(q: QuadraticMatrixPolynomial, delta_k) -> QuadraticMatrixPolynomial:
-    """Return a copy with K -> K + delta_k (symmetry-breaking probe).
-
-    The copy keeps q's point derivatives, which holds for a delta_k that
-    does not depend on the point.
-    """
-    return QuadraticMatrixPolynomial(
-        mass=q.mass, stiffness=q.stiffness + nk.as_matrix(delta_k), damping=q.damping,
-        derivatives=q.derivatives,
-    )
-
-
-def perturb_damping(q: QuadraticMatrixPolynomial, delta_g) -> QuadraticMatrixPolynomial:
-    """Return a copy with G -> G + delta_g (e.g. unbalanced loss).
-
-    The copy keeps q's point derivatives, which holds for a delta_g that
-    does not depend on the point.
-    """
-    return QuadraticMatrixPolynomial(
-        mass=q.mass, stiffness=q.stiffness, damping=q.damping + nk.as_matrix(delta_g),
-        derivatives=q.derivatives,
-    )
+    """The lattice's Bloch QMP at p's own wavevector."""
+    return coefficients(p, (p.kx, p.ky, p.kz)).qmp(0)
 
 
 class Model(NamedTuple):
@@ -231,31 +232,29 @@ class Model(NamedTuple):
     qmp: Callable
 
 
-# name -> (parameter dataclass, QMP constructor); the dataclass fields are
-# the model's config fields.
+# name -> (params dataclass, whose fields are the config fields; QMP at the params' own point)
 MODELS = {
     "theoretical": Model(TheoreticalParams, theoretical_qmp),
     "experimental": Model(ExperimentalParams, experimental_qmp),
     "lattice": Model(LatticeParams, lattice_bloch_qmp),
 }
+_TABLES = {TheoreticalParams: _theoretical, ExperimentalParams: _experimental, LatticeParams: _lattice}
 
 
 def builder(params):
-    """point -> QMP closure at the fixed (non-point) fields of params.
-
-    The point is g = (gamma, chi, kappa) for the synthetic-dimension models
-    and the wavevector k for the lattice.
-    """
-    qmp = next(m.qmp for m in MODELS.values() if type(params) is m.params)
-    return lambda point: qmp(params.at(point))
+    """point -> QMP closure at the fixed (non-point) fields of params: the P = 1 view of `coefficients`."""
+    return lambda point: coefficients(params, point).qmp(0)
 
 
 def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
-    """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries."""
-    build = builder(TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi))
+    """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries.
+
+    delta_k is a table edit: added to every K, it leaves the derivatives exact."""
+    params = TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi)
     if delta_k is None:
-        return build
-    return lambda g: perturb_stiffness(build(g), delta_k)
+        return builder(params)
+    delta_k = nk.as_matrix(delta_k)
+    return lambda g: (t := coefficients(params, g))._replace(stiffness=t.stiffness + delta_k).qmp(0)
 
 
 @dataclass(frozen=True)

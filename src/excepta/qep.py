@@ -31,10 +31,10 @@ class SpectralGapError(RuntimeError):
 class QuadraticMatrixPolynomial:
     """Coefficient triple (mass, stiffness, damping), all N x N, mass nonsingular.
 
-    `derivatives`, when a model builder sets it, is a zero-argument callable
+    `derivatives`, when a model sets it, is a zero-argument callable
     returning (dK, dG), each (P, N, N): the derivatives of K and G along the
-    P coordinates of the point the QMP was built at (M is constant).  It is
-    evaluated only on request, so a QMP that is only solved pays nothing.
+    P coordinates of the point the QMP was built at (M is constant).  A
+    model's QMPs are views of its validated table (`models.coefficients`).
     """
 
     mass: np.ndarray
@@ -51,9 +51,14 @@ class QuadraticMatrixPolynomial:
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
             raise ValueError("mass matrix is singular")
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "damping", g)
+        self.__dict__.update(mass=m, stiffness=k, damping=g)  # frozen: bypass __setattr__
+
+    @classmethod
+    def _from_table(cls, mass, stiffness, damping, derivatives) -> "QuadraticMatrixPolynomial":
+        """A QMP of validated arrays, taken as they are."""
+        q = object.__new__(cls)
+        q.__dict__.update(mass=mass, stiffness=stiffness, damping=damping, derivatives=derivatives)
+        return q
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,7 @@ def per_point_vectors(field):
     eps = 0
     for i, kx in enumerate(field.kx):
         for j, kz in enumerate(field.kz):
-            spectrum = qep.solve(models.lattice_bloch_qmp(P.at((kx, field.ky, kz))))
+            spectrum = qep.solve(models.builder(P)((kx, field.ky, kz)))
             pairs = qep.pf_bands(spectrum)
             omegas = [pair.omega for pair in pairs]
             vectors[i, j] = [pairs[omegas.index(w)].right for w in field.omegas[i, j]]
@@ -92,6 +92,26 @@ class TestBandSlice:
         assert np.array_equal(field.vectors, vectors)
         assert eps == int(name == "chain_point_odd")
 
+    def test_equals_per_node_reference_loop(self):
+        # 33 x 31 nodes at the chain-point ky: the kx = kz = 0 node is the EP.
+        field = lattice.band_slice(P, KY_CP, grid=(33, 31), window=((-0.3, 0.3), (-0.3, 0.3)))
+        build = models.builder(P)
+        omegas = np.zeros_like(field.omegas)
+        bad = []
+        for i, kx in enumerate(field.kx):
+            for j, kz in enumerate(field.kz):
+                spectrum = qep.solve(build((kx, field.ky, kz)))
+                w = qep.pf_omegas(spectrum)
+                if (i, j) != (0, 0):
+                    w = w[topo.match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)]
+                omegas[i, j] = w
+                if len(qep.frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
+                    bad.append((i, j))
+        assert field.bad_cells == tuple(bad) == ((16, 15),)
+        assert omegas.tobytes() == field.omegas.tobytes()
+        vectors, eps = per_point_vectors(field)
+        assert vectors.tobytes() == field.vectors.tobytes() and eps == 1
+
     def test_one_solve_per_node_and_nullspace_only_at_clusters(self, monkeypatch):
         spectra, nullspaces = [], []
         nullspace = nk.nullspace
@@ -120,15 +140,15 @@ class TestSymmetriesAtK:
         rng = np.random.default_rng(0)
         for _ in range(60):
             k = rng.uniform(-np.pi, np.pi, size=3)
-            w_plus = qep.solve(models.lattice_bloch_qmp(P.at(k))).omegas
-            w_minus = qep.solve(models.lattice_bloch_qmp(P.at(-k))).omegas
+            w_plus = qep.solve(models.builder(P)(k)).omegas
+            w_minus = qep.solve(models.builder(P)(-k)).omegas
             assert multiset_distance(w_plus, -w_minus.conj()) < 1e-9
 
     def test_fixed_k_frequency_inversion(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
             k = rng.uniform(-np.pi, np.pi, size=3)
-            w = qep.solve(models.lattice_bloch_qmp(P.at(k))).omegas
+            w = qep.solve(models.builder(P)(k)).omegas
             assert multiset_distance(w, -w) < 1e-9
 
     def test_fixed_k_particle_hole_on_symmetry_planes(self):
@@ -136,7 +156,7 @@ class TestSymmetriesAtK:
         for _ in range(30):
             k = rng.uniform(-np.pi, np.pi, size=3)
             k[int(rng.integers(3))] = 0.0
-            w = qep.solve(models.lattice_bloch_qmp(P.at(k))).omegas
+            w = qep.solve(models.builder(P)(k)).omegas
             assert multiset_distance(w, -w.conj()) < 1e-9
 
 

@@ -24,7 +24,6 @@ KEPT = {
     "symmetry.velocity_reduction_closed_form": "the reference test_symmetry checks isospectral_reduction against",
     "lattice.crossing_slopes": "the only check of the linear crossings the lattice module docstring states",
     "topology.SurfaceMesh.euler_characteristic": "kept for the surface audit from its own mesh (ROADMAP item 8)",
-    "models.perturb_damping": "kept for N-oscillator models from a config (ROADMAP item 10)",
 }
 
 

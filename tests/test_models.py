@@ -1,8 +1,67 @@
 import numpy as np
 import pytest
 
-from conftest import multiset_distance
-from excepta import models, qep, symmetry
+from conftest import multiset_distance, reference_experimental, reference_lattice, reference_theoretical
+from excepta import lattice, models, qep, symmetry
+
+# name -> (params, reference constructor from conftest, half-width of the sampled cube)
+REFERENCES = {
+    "theoretical": (models.TheoreticalParams(dchi=-0.05), reference_theoretical, 0.4),
+    "experimental": (models.ExperimentalParams(), reference_experimental, 0.4),
+    "lattice": (models.LatticeParams(), reference_lattice, np.pi),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCoefficientTables:
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_stack_views_and_reference_agree(self, name):
+        params, reference, half = REFERENCES[name]
+        rng = np.random.default_rng(34)
+        points = rng.uniform(-half, half, (96, 3))
+        # Exact zeros and zone edges, where signed zeros and rounding order show.
+        points[rng.random(points.shape) < 0.2] = 0.0
+        points[:4] = [[half, -half, 0.0], [-half, 0.0, half], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]
+        table = models.coefficients(params, points)
+        build = models.builder(params)
+        for i, point in enumerate(points):
+            view = build(point)
+            (mass, stiffness, damping), (dk, dg) = reference(params, point)
+            stacked = (table.mass, table.stiffness[i], table.damping[i], table.dstiffness[i], table.ddamping[i])
+            viewed = (view.mass, view.stiffness, view.damping, *view.derivatives())
+            assert all(same_bits(a, b) for a, b in zip(stacked, viewed))
+            assert same_bits(view.mass, mass) and same_bits(view.stiffness, stiffness)
+            assert same_bits(view.damping, damping)
+            # The derivatives are exact; the affine models' constant rows may
+            # differ from the old hand-written ones only in the sign of a zero.
+            assert np.array_equal(table.dstiffness[i], dk) and np.array_equal(table.ddamping[i], dg)
+            if name == "lattice":
+                assert same_bits(table.dstiffness[i], dk)  # 0 ulp apart
+
+    @pytest.mark.parametrize("name", sorted(models.MODELS))
+    def test_non_finite_point_raises(self, name):
+        params = models.MODELS[name].params()
+        with pytest.raises(ValueError, match="non-finite"):
+            models.builder(params)((0.1, np.nan, 0.2))
+        with pytest.raises(ValueError, match="non-finite"):
+            models.coefficients(params, [(0.1, 0.2, 0.3), (0.0, 0.0, np.nan), (0.2, 0.1, 0.0)])
+
+    @pytest.mark.parametrize("name", sorted(models.MODELS))
+    @pytest.mark.parametrize("mass", [0.0, -1.0, np.inf, np.nan])
+    def test_mass_is_validated_with_the_params(self, name, mass):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            models.MODELS[name].params(**{"m" if name == "lattice" else "m0": mass})
+
+    def test_wavevector_outside_the_zone_raises(self):
+        kz = np.pi + 1e-6
+        with pytest.raises(ValueError, match="kz outside the first Brillouin zone"):
+            models.builder(models.LatticeParams())((0.1, 0.2, kz))
+        with pytest.raises(ValueError, match="kz outside the first Brillouin zone"):
+            lattice.band_slice(models.LatticeParams(), 0.2, grid=(4, 5), window=((-0.1, 0.1), (-kz, kz)))
 
 
 class TestTheoretical:
@@ -123,7 +182,7 @@ class TestLattice:
         p = models.LatticeParams()
 
         def anti_hermitian(k):
-            stiffness = models.lattice_bloch_qmp(p.at(k)).stiffness
+            stiffness = models.builder(p)(k).stiffness
             return np.abs(stiffness - stiffness.conj().T).max()
 
         for k in [(0.3, 0.0, 0.2), (0.0, -0.4, 1.1), (np.pi, 0.4, -0.2), (0.3, -np.pi, 0.2)]:

@@ -39,8 +39,9 @@ class TestConstruction:
             QMP(mass=np.eye(2), stiffness=np.eye(3), damping=np.zeros((2, 2)))
 
     def test_rejects_singular_mass(self):
-        with pytest.raises(ValueError):
-            QMP(mass=np.zeros((2, 2)), stiffness=np.eye(2), damping=np.zeros((2, 2)))
+        for mass in (np.zeros((2, 2)), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="singular"):
+                QMP(mass=mass, stiffness=np.eye(2), damping=np.zeros((2, 2)))
 
 
 class TestEvaluate:
@@ -272,6 +273,11 @@ class TestPairGradient:
             qep.pair_gradient(qep.solve(q), (np.zeros((1, 3, 3)), np.zeros((1, 3, 3))))
 
     def test_perturbations_keep_the_derivatives(self):
-        q = split_model()
-        assert models.perturb_stiffness(q, 0.01 * np.eye(2)).derivatives is q.derivatives
-        assert models.perturb_damping(q, 0.01 * np.eye(2)).derivatives is q.derivatives
+        # delta_k is a table edit: it shifts every K by a point-independent
+        # matrix, so the table's derivatives stay exact.
+        g = np.array([0.2, 0.08, 0.05])
+        plain = models.theoretical_builder(dchi=-0.05)(g)
+        probed = models.theoretical_builder(dchi=-0.05, delta_k=0.01 * np.eye(2))(g)
+        assert np.array_equal(probed.stiffness, plain.stiffness + 0.01 * np.eye(2))
+        for d_probed, d_plain in zip(probed.derivatives(), plain.derivatives()):
+            assert np.array_equal(d_probed, d_plain)

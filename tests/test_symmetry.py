@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,14 @@ from excepta.symmetry import velocity_block
 
 
 def h_theoretical(g, dchi=-0.05, perturb_k=None):
-    q = models.theoretical_qmp(models.TheoreticalParams(dchi=dchi).at(g))
-    if perturb_k is not None:
-        q = models.perturb_stiffness(q, perturb_k)
-    return qep.linearize(q)
+    return qep.linearize(models.theoretical_builder(dchi=dchi, delta_k=perturb_k)(g))
 
 
 class TestRelationResidual:
     def test_detects_unbalanced_loss(self, theoretical_build):
         def broken(g):
-            return models.perturb_damping(theoretical_build(g), np.diag([0.01, 0.0]))
+            q = theoretical_build(g)
+            return replace(q, damping=q.damping + np.diag([0.01, 0.0]))
 
         rng = np.random.default_rng(0)
         samples = [(complex(rng.normal(), rng.normal()), rng.normal(size=3) * 0.3) for _ in range(100)]

@@ -199,7 +199,7 @@ class TestAssembleChain:
             # The perturbation depends on gamma, so its derivative joins the model's.
             dk, dg = q.derivatives()
             dg = dg + np.multiply.outer([1.0, 0.0, 0.0], np.diag([0.1, 0.0]))
-            return replace(models.perturb_damping(q, np.diag([0.1 * g[0], 0.0])), derivatives=lambda: (dk, dg))
+            return replace(q, damping=q.damping + np.diag([0.1 * g[0], 0.0]), derivatives=lambda: (dk, dg))
 
         win = (np.array([-0.22, -0.2, -0.12]), np.array([0.22, 0.3, 0.12]))
         er = tracer.trace_el(build, (0.0, 0.049, 0.004), step=0.006, window=win, plane=tracer.plane_gamma0())
