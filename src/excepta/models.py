@@ -16,12 +16,13 @@ Also here: the quasi-degenerate two-band reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import numkernel as nk
-from .qep import QuadraticMatrixPolynomial
+from .qep import QuadraticMatrixPolynomial, linearize
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -107,9 +108,11 @@ class LatticeParams:
                 raise ValueError(f"{name} outside the first Brillouin zone")
 
 
-class Table(NamedTuple):
+@dataclass(frozen=True)
+class Table:
     """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N),
-    and their derivatives dstiffness, ddamping (P, 3, N, N) along the point coordinates."""
+    and their derivatives dstiffness, ddamping (P, 3, N, N) along the point coordinates.
+    `companion`, the read-only stack linearize(table), is made once, on first use."""
 
     mass: np.ndarray
     stiffness: np.ndarray
@@ -117,10 +120,17 @@ class Table(NamedTuple):
     dstiffness: np.ndarray
     ddamping: np.ndarray
 
+    @cached_property
+    def companion(self) -> np.ndarray:
+        h = linearize(self)
+        h.flags.writeable = False
+        return h
+
     def qmp(self, i: int) -> QuadraticMatrixPolynomial:
-        """The QMP at point i: a view of the validated stack that carries its derivatives."""
+        """The QMP at point i: a view of the stack with its derivatives and, made on first use, its H."""
         d = self.dstiffness[i], self.ddamping[i]
-        return QuadraticMatrixPolynomial._from_table(self.mass, self.stiffness[i], self.damping[i], lambda: d)
+        return QuadraticMatrixPolynomial._from_table(
+            self.mass, self.stiffness[i], self.damping[i], lambda: d, lambda: self.companion[i])
 
 
 def _matrices(n: int, *entries) -> np.ndarray:
@@ -181,7 +191,7 @@ def _lattice(p: LatticeParams, k: np.ndarray) -> Table:
     dcy = np.stack([4.0j * p.dchi * cos_x * sin_y, 4.0j * p.dchi * sin_x * cos_y, p.kappa2 * cos_z], axis=1)
     dk = -dcx[..., None, None] * SIGMA_X - dcy[..., None, None] * SIGMA_Y
     damping = (-p.gamma * SIGMA_Z)[None].repeat(n, axis=0)
-    return Table(p.m * SIGMA_0, stiffness, damping, dk, np.zeros_like(dk))
+    return Table(p.m * SIGMA_0, stiffness, damping, dk, np.broadcast_to(0j, dk.shape))  # dG = 0, read-only
 
 
 def coefficients(params, points) -> Table:
@@ -249,12 +259,12 @@ def builder(params):
 def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
     """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries.
 
-    delta_k is a table edit: added to every K, it leaves the derivatives exact."""
+    delta_k is a table edit (`replace`: its views carry the edited K's H); the derivatives stay exact."""
     params = TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi)
     if delta_k is None:
         return builder(params)
     delta_k = nk.as_matrix(delta_k)
-    return lambda g: (t := coefficients(params, g))._replace(stiffness=t.stiffness + delta_k).qmp(0)
+    return lambda g: replace(t := coefficients(params, g), stiffness=t.stiffness + delta_k).qmp(0)
 
 
 @dataclass(frozen=True)

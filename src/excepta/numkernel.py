@@ -170,11 +170,11 @@ def gauge_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return v * phase.conjugate()
 
 
-def cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group already-sorted values into clusters of mutual distance < tol."""
+def cluster_indices(values: list, tol: float) -> list[list[int]]:
+    """Group already-sorted values (Python numbers, from `tolist`) into runs of neighbours closer than tol."""
     clusters: list[list[int]] = []
-    for i in range(len(values)):
-        if clusters and abs(values[i] - values[clusters[-1][-1]]) < tol:
+    for i, v in enumerate(values):
+        if clusters and abs(v - values[i - 1]) < tol:
             clusters[-1].append(i)
         else:
             clusters.append([i])

@@ -34,7 +34,7 @@ class QuadraticMatrixPolynomial:
     `derivatives`, when a model sets it, is a zero-argument callable
     returning (dK, dG), each (P, N, N): the derivatives of K and G along the
     P coordinates of the point the QMP was built at (M is constant).  A
-    model's QMPs are views of its validated table (`models.coefficients`).
+    model's QMPs are views of its validated table (`models.coefficients`) that carry its H.
     """
 
     mass: np.ndarray
@@ -54,10 +54,10 @@ class QuadraticMatrixPolynomial:
         self.__dict__.update(mass=m, stiffness=k, damping=g)  # frozen: bypass __setattr__
 
     @classmethod
-    def _from_table(cls, mass, stiffness, damping, derivatives) -> "QuadraticMatrixPolynomial":
-        """A QMP of validated arrays, taken as they are."""
+    def _from_table(cls, mass, stiffness, damping, derivatives, h) -> "QuadraticMatrixPolynomial":
+        """A QMP of validated arrays, taken as they are; `h()` gives its read-only H (not a field)."""
         q = object.__new__(cls)
-        q.__dict__.update(mass=mass, stiffness=stiffness, damping=damping, derivatives=derivatives)
+        q.__dict__.update(mass=mass, stiffness=stiffness, damping=damping, derivatives=derivatives, _companion=h)
         return q
 
     @property
@@ -103,28 +103,32 @@ def evaluate(q: QuadraticMatrixPolynomial, omega: complex) -> np.ndarray:
     return omega**2 * q.mass - q.stiffness + 1j * omega * q.damping
 
 
-def linearize(q: QuadraticMatrixPolynomial) -> np.ndarray:
+def linearize(q) -> np.ndarray:
     """First-order companion form H = i [[0, 1], [-M^-1 K, -M^-1 G]].
 
     Eigenvalues of H are the QEP eigenfrequencies; eigenvectors stack as
     (psi, -i w psi).  For real M, K, G it satisfies H* = -H entrywise.
+    Of a `models.Table`: the (P, 2N, 2N) stack, equal bit for bit per point; of its view: the table's H.
     """
-    n = q.dim
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = np.eye(n)
-    h[n:] = -np.linalg.solve(q.mass, np.hstack([q.stiffness, q.damping]))
-    return 1j * h
+    companion = getattr(q, "_companion", None)
+    if companion is not None:
+        return companion()
+    n = q.mass.shape[0]
+    h = np.zeros(q.stiffness.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    h[..., :n, n:] = np.eye(n)
+    h[..., n:, :n], h[..., n:, n:] = q.stiffness, q.damping
+    np.negative(np.linalg.solve(q.mass, h[..., n:, :]), out=h[..., n:, :])
+    return np.multiply(h, 1j, out=h)
 
 
 def _pf_gap_ok(omegas: np.ndarray) -> bool:
-    # Relative gap test plus an absolute floor: a double root at the origin
-    # is only located to about sqrt(machine epsilon), so tinier real parts are
-    # indistinguishable from the axis (frequencies in natural units).
-    top = np.abs(omegas).max()
-    if top == 0.0:
-        return False
-    floor = 1e-6 * max(1.0, top)
-    return bool(np.abs(omegas.real).min() > max(PF_GAP_RTOL * top, floor))
+    # Relative gap test plus an absolute floor: a double root at the origin is only located to about
+    # sqrt(machine epsilon), so tinier real parts are indistinguishable from the axis (frequencies in
+    # natural units).  A zero or non-finite spectrum (sum |w| 0, inf or nan) has no gap.
+    w = omegas.tolist()
+    mags = [abs(z) for z in w]
+    top = max(mags)
+    return 0.0 < sum(mags) < np.inf and min(abs(z.real) for z in w) > max(PF_GAP_RTOL * top, 1e-6 * max(1.0, top))
 
 
 def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
@@ -184,7 +188,8 @@ def frequency_clusters(omegas: np.ndarray) -> list[list[int]]:
 
     Frequencies this close share one nullspace SVD for their eigenvectors.
     """
-    return nk.cluster_indices(omegas, EP_OMEGA_RTOL * max(1.0, np.abs(omegas).max()))
+    w = omegas.tolist()
+    return nk.cluster_indices(w, EP_OMEGA_RTOL * max(1.0, *map(abs, w)))
 
 
 def simple_vectors(mass, stiffness, damping, omegas) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,68 @@ class TestCoefficientTables:
             assert np.array_equal(table.dstiffness[i], dk) and np.array_equal(table.ddamping[i], dg)
             if name == "lattice":
                 assert same_bits(table.dstiffness[i], dk)  # 0 ulp apart
+
+    @staticmethod
+    def gradients_equal_public_path(view) -> int:
+        """Assert the view's H, frequencies and pair gradient equal those of the public
+        constructor on the view's arrays, bit for bit; return how many gradients were compared."""
+        public = qep.QuadraticMatrixPolynomial(view.mass, view.stiffness, view.damping)
+        h = qep.linearize(view)
+        assert not h.flags.writeable
+        assert same_bits(h, qep.linearize(public))
+        spectrum, reference = qep.solve(view), qep.solve(public)
+        assert same_bits(spectrum.omegas, reference.omegas)
+        if not spectrum.pf_gap_ok:
+            return 0
+        d = view.derivatives()
+        assert same_bits(qep.pair_gradient(spectrum, d), qep.pair_gradient(reference, d))
+        return 1
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_views_carry_the_companion_of_their_arrays(self, name):
+        params, _, half = REFERENCES[name]
+        rng = np.random.default_rng(35)
+        points = rng.uniform(-half, half, (64, 3))
+        points[rng.random(points.shape) < 0.2] = 0.0
+        table = models.coefficients(params, points)
+        build = models.builder(params)
+        compared = 0
+        for i, point in enumerate(points):
+            view, single = table.qmp(i), build(point)
+            assert same_bits(qep.linearize(view), qep.linearize(single))  # stacked = P = 1
+            compared += self.gradients_equal_public_path(view) + self.gradients_equal_public_path(single)
+        assert compared > len(points)
+
+    def test_edits_never_carry_a_stale_companion(self):
+        params = models.TheoreticalParams(dchi=-0.05)
+        delta_k = np.array([[0.01, -0.02], [0.03, -0.01]])
+        edited_build, plain_build = models.theoretical_builder(dchi=-0.05, delta_k=delta_k), models.builder(params)
+        points = np.random.default_rng(36).uniform(-0.4, 0.4, (32, 3))
+        table = models.coefficients(params, points)
+        assert not table.companion.flags.writeable  # made before the edit below
+        edited_table = dataclasses.replace(table, stiffness=table.stiffness + delta_k)
+        compared = 0
+        for i, point in enumerate(points):
+            edited, plain = edited_build(point), plain_build(point)
+            assert same_bits(edited.stiffness, plain.stiffness + delta_k)
+            assert not np.array_equal(qep.linearize(edited), qep.linearize(plain))
+            assert same_bits(qep.linearize(edited_table.qmp(i)), qep.linearize(edited))
+            compared += self.gradients_equal_public_path(edited) + self.gradients_equal_public_path(edited_table.qmp(i))
+            # A replaced view is a public QMP: it linearizes its own arrays.
+            replaced = dataclasses.replace(plain, stiffness=plain.stiffness + delta_k)
+            assert same_bits(qep.linearize(replaced), qep.linearize(edited))
+        assert compared > len(points)
+
+    def test_lattice_window_views_carry_their_companion(self, monkeypatch):
+        views = []
+        monkeypatch.setattr(lattice, "solve", lambda q: views.append(q) or qep.solve(q))
+        params = models.LatticeParams()
+        ky = float(lattice.chain_point_coords(params)[1])
+        # The odd grid has a node on the chain point, an exceptional point.
+        lattice.band_slice(params, ky, grid=(9, 7), window=((-0.2, 0.2), (-0.3, 0.3)))
+        lattice.crossing_slopes(params, (0.0, ky, 0.0), "x", 0.1, n=5)
+        assert len(views) == 9 * 7 + 10
+        assert sum(map(self.gradients_equal_public_path, views)) == len(views)
 
     @pytest.mark.parametrize("name", sorted(models.MODELS))
     def test_non_finite_point_raises(self, name):

@@ -226,6 +226,26 @@ class TestPfBands:
         with pytest.raises(qep.SpectralGapError):
             qep.pf_omegas(s)
 
+    def test_gap_rule_on_python_floats_matches_numpy(self):
+        def numpy_rule(w):
+            top = np.abs(w).max()
+            return top != 0.0 and bool(np.abs(w.real).min() > max(qep.PF_GAP_RTOL * top, 1e-6 * max(1.0, top)))
+
+        rng = np.random.default_rng(35)
+        outcomes = []
+        for _ in range(2000):
+            # Real parts from 1e-9 to 1 of the scale straddle both thresholds.
+            w = 10.0 ** rng.uniform(-8, 4) * (rng.normal(size=4) * 10.0 ** rng.uniform(-9, 0, 4) + 1j * rng.normal(size=4))
+            outcomes.append(qep._pf_gap_ok(w))
+            assert outcomes[-1] == numpy_rule(w)
+        assert 0 < sum(outcomes) < len(outcomes)
+        assert not qep._pf_gap_ok(np.zeros(4, complex))
+        for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)):
+            for i in range(4):
+                w = np.array([-2.0, -1.0, 1.0, 2.0], dtype=complex)
+                w[i] = bad
+                assert not qep._pf_gap_ok(w)
+
 
 class TestPairGradient:
     # (builder, half-width of the sampled cube) for every model that carries derivatives.
