@@ -11,7 +11,9 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -53,15 +55,21 @@ class BandField:
 
     `bad_cells` marks grid nodes whose spectrum has a frequency cluster
     (`qep.frequency_clusters`), where band identity is ambiguous: EL
-    punctures of the slice.
+    punctures of the slice.  `vectors`, the (nx, nz, 2, 2) right
+    eigenvectors (band, component), is made by `_vectors()` on first access,
+    so frequency-only callers never compute it.
     """
 
     kx: np.ndarray
     kz: np.ndarray
     ky: float
     omegas: np.ndarray  # (nx, nz, 2), column-continuous
-    vectors: np.ndarray  # (nx, nz, 2, 2) right eigenvectors (band, component)
     bad_cells: tuple[tuple[int, int], ...]
+    _vectors: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self._vectors()
 
 
 def band_slice(
@@ -74,11 +82,12 @@ def band_slice(
 
     Rows are matched left-to-right and each row to the one before it by
     minimal |delta omega|; nodes with a frequency cluster are recorded in
-    bad_cells rather than aborting.  One table holds the model over the grid;
-    the loop solves each node's view for frequencies only, and the
-    eigenvectors of every tracked band then come from one stacked SVD of the
-    table.  A node whose spectrum has a frequency cluster (an EP puncture)
-    takes its vectors from its own `pf_bands` instead.
+    bad_cells rather than aborting.  One table holds the model over the grid
+    and solves it in one stacked eigenvalue call; the loop solves each node's
+    view for frequencies only.  On first access to `vectors`, the
+    eigenvectors of every tracked band come from one stacked SVD of the
+    table, and a node whose spectrum has a frequency cluster (an EP
+    puncture) takes its vectors from its own `pf_bands` instead.
     """
     nx, nz = grid
     if nx < 2 or nz < 2:
@@ -89,8 +98,7 @@ def band_slice(
     kx, kz = np.meshgrid(kxs, kzs, indexing="ij")
     table = coefficients(p, np.stack([kx, np.full_like(kx, ky), kz], axis=-1))
     omegas = np.zeros((nx, nz, 2), dtype=complex)
-    clustered: dict[tuple[int, int], np.ndarray] = {}
-    bad: list[tuple[int, int]] = []
+    clustered = {}  # cell -> (spectrum, band order)
 
     for i in range(nx):
         for j in range(nz):
@@ -102,13 +110,18 @@ def band_slice(
                 cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
             omegas[i, j] = w[cols]
             if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
-                bad.append((i, j))
-                clustered[i, j] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
+                clustered[i, j] = spectrum, cols
+
     node = (nx, nz, 1, 2, 2)
-    vectors = simple_vectors(table.mass, table.stiffness.reshape(node), table.damping.reshape(node), omegas)
-    for cell, v in clustered.items():
-        vectors[cell] = v
-    return BandField(kx=kxs, kz=kzs, ky=ky, omegas=omegas, vectors=vectors, bad_cells=tuple(bad))
+    mass, stiffness, damping = table.mass, table.stiffness.reshape(node), table.damping.reshape(node)
+
+    def vectors() -> np.ndarray:
+        v = simple_vectors(mass, stiffness, damping, omegas)
+        for cell, (spectrum, cols) in clustered.items():
+            v[cell] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
+        return v
+
+    return BandField(kx=kxs, kz=kzs, ky=ky, omegas=omegas, bad_cells=tuple(clustered), _vectors=vectors)
 
 
 def crossing_slopes(p: LatticeParams, center, axis: str, half_range: float, n: int = 9):
@@ -192,16 +205,17 @@ class PulseMetrics:
     aspect: float
 
 
-def _tracked_window_bands(p: LatticeParams, spec: WavepacketSpec, ky: float):
-    """Continuous bands and 4-component eigenvectors over the k window."""
+def _window_bands(p: LatticeParams, spec: WavepacketSpec) -> BandField:
+    """The PF bands tracked over the k window at the chain-point ky."""
     kxs, kzs = spec.axes()
-    field = band_slice(
-        p, ky, grid=spec.grid, window=((kxs[0], kxs[-1]), (kzs[0], kzs[-1]))
-    )
-    omegas = field.omegas  # (nx, nz, 2)
-    psis = field.vectors  # (nx, nz, 2, 2)
-    # Stack displacement and velocity halves: (psi, -i w psi), unit norm,
-    # with the displacement gauge inherited from the solver.
+    ky = float(chain_point_coords(p)[1])
+    return band_slice(p, ky, grid=spec.grid, window=((kxs[0], kxs[-1]), (kzs[0], kzs[-1])))
+
+
+def _state_vectors(bands: BandField) -> tuple[np.ndarray, np.ndarray]:
+    """The bands' frequencies and unit 4-component eigenvectors (psi, -i w psi), with the
+    displacement gauge inherited from the solver."""
+    omegas, psis = bands.omegas, bands.vectors  # (nx, nz, 2), (nx, nz, 2, 2)
     full = np.zeros((*psis.shape[:2], 2, 4), dtype=complex)
     full[..., :2] = psis
     full[..., 2:] = -1j * omegas[..., None] * psis
@@ -224,12 +238,11 @@ def evolve_wavepacket(
     A snapshot is boundary-contaminated when its largest edge amplitude
     exceeds BOUNDARY_TOL of its peak.
     """
-    ky = float(chain_point_coords(p)[1])
     lx, lz = slab
     xs = np.arange(lx) - lx // 2
     zs = np.arange(lz) - lz // 2
     kxs, kzs = spec.axes()
-    omegas, vecs = _tracked_window_bands(p, spec, ky)
+    omegas, vecs = _state_vectors(_window_bands(p, spec))
 
     wx = np.ones(len(kxs))
     wx[0] = wx[-1] = 0.5
@@ -281,7 +294,7 @@ def evolve_wavepacket(
 
 def max_growth_rates(p: LatticeParams, spec: WavepacketSpec) -> tuple[float, float]:
     """Largest Im(omega) of each band over the truncation window at the chain-point ky."""
-    omegas, _ = _tracked_window_bands(p, spec, float(chain_point_coords(p)[1]))
+    omegas = _window_bands(p, spec).omegas
     return (
         float(omegas[..., 0].imag.max()),
         float(omegas[..., 1].imag.max()),

@@ -15,14 +15,14 @@ Also here: the quasi-degenerate two-band reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import numkernel as nk
-from .qep import QuadraticMatrixPolynomial, linearize
+from .qep import QuadraticMatrixPolynomial, companion_eigenvalues, linearize
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -110,15 +110,31 @@ class LatticeParams:
 
 @dataclass(frozen=True)
 class Table:
-    """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N),
-    and their derivatives dstiffness, ddamping (P, 3, N, N) along the point coordinates.
-    `companion`, the read-only stack linearize(table), is made once, on first use."""
+    """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N).
+
+    `derive()` returns the derivatives of K and G along the point coordinates,
+    `dstiffness` and `ddamping`, each (P, 3, N, N).  They, `companion` (the
+    stack linearize(table)) and `eigenvalues` (its unsorted eigenvalues, one
+    LAPACK call for the stack) are each made once, on first use; the last two
+    are read-only.
+    """
 
     mass: np.ndarray
     stiffness: np.ndarray
     damping: np.ndarray
-    dstiffness: np.ndarray
-    ddamping: np.ndarray
+    derive: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.derive()
+
+    @property
+    def dstiffness(self) -> np.ndarray:
+        return self.derivatives[0]
+
+    @property
+    def ddamping(self) -> np.ndarray:
+        return self.derivatives[1]
 
     @cached_property
     def companion(self) -> np.ndarray:
@@ -126,11 +142,17 @@ class Table:
         h.flags.writeable = False
         return h
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        w = companion_eigenvalues(self.companion)
+        w.flags.writeable = False
+        return w
+
     def qmp(self, i: int) -> QuadraticMatrixPolynomial:
-        """The QMP at point i: a view of the stack with its derivatives and, made on first use, its H."""
-        d = self.dstiffness[i], self.ddamping[i]
+        """The QMP at point i: a view of the stack whose derivatives, H and eigenvalues are the table's rows."""
         return QuadraticMatrixPolynomial._from_table(
-            self.mass, self.stiffness[i], self.damping[i], lambda: d, lambda: self.companion[i])
+            self.mass, self.stiffness[i], self.damping[i], lambda: (self.dstiffness[i], self.ddamping[i]),
+            lambda: self.companion[i], lambda: self.eigenvalues[i])
 
 
 def _matrices(n: int, *entries) -> np.ndarray:
@@ -157,7 +179,7 @@ def _theoretical(p: TheoreticalParams, g: np.ndarray) -> Table:
     half_kappa, half_gamma, minus_chi = kappa / 2.0, gamma / 2.0, -chi
     k = _matrices(n, p.kbar + half_kappa, minus_chi, minus_chi - p.dchi, p.kbar - half_kappa)
     gg = _matrices(n, half_gamma, 0.0, 0.0, -half_gamma)
-    return Table(p.m0 * SIGMA_0, k, gg, *(d[None].repeat(n, axis=0) for d in _THEORETICAL))
+    return Table(p.m0 * SIGMA_0, k, gg, lambda: tuple(d[None].repeat(n, axis=0) for d in _THEORETICAL))
 
 
 def _experimental(p: ExperimentalParams, g: np.ndarray) -> Table:
@@ -166,7 +188,7 @@ def _experimental(p: ExperimentalParams, g: np.ndarray) -> Table:
     half_gamma, minus_chi = gamma / 2.0, -chi
     k = _matrices(n, p.kappa0 + chi, minus_chi, minus_chi - p.dchi, p.kappa0 - kappa + chi)
     gg = _matrices(n, p.gamma0 + half_gamma, 0.0, 0.0, p.gamma0 - half_gamma)
-    return Table(p.m0 * SIGMA_0, k, gg, *(d[None].repeat(n, axis=0) for d in _EXPERIMENTAL))
+    return Table(p.m0 * SIGMA_0, k, gg, lambda: tuple(d[None].repeat(n, axis=0) for d in _EXPERIMENTAL))
 
 
 def _lattice(p: LatticeParams, k: np.ndarray) -> Table:
@@ -187,11 +209,15 @@ def _lattice(p: LatticeParams, k: np.ndarray) -> Table:
     cx = p.kappa1 + p.kappa2 * cos_z + 4.0 * p.chi * cos_x * cos_y
     cy = p.kappa2 * sin_z + 4.0j * p.dchi * sin_x * sin_y
     stiffness = c0 * SIGMA_0 - cx[:, None, None] * SIGMA_X - cy[:, None, None] * SIGMA_Y
-    dcx = np.stack([-4.0 * p.chi * sin_x * cos_y, -4.0 * p.chi * cos_x * sin_y, -p.kappa2 * sin_z], axis=1)
-    dcy = np.stack([4.0j * p.dchi * cos_x * sin_y, 4.0j * p.dchi * sin_x * cos_y, p.kappa2 * cos_z], axis=1)
-    dk = -dcx[..., None, None] * SIGMA_X - dcy[..., None, None] * SIGMA_Y
     damping = (-p.gamma * SIGMA_Z)[None].repeat(n, axis=0)
-    return Table(p.m * SIGMA_0, stiffness, damping, dk, np.broadcast_to(0j, dk.shape))  # dG = 0, read-only
+
+    def derive():
+        dcx = np.stack([-4.0 * p.chi * sin_x * cos_y, -4.0 * p.chi * cos_x * sin_y, -p.kappa2 * sin_z], axis=1)
+        dcy = np.stack([4.0j * p.dchi * cos_x * sin_y, 4.0j * p.dchi * sin_x * cos_y, p.kappa2 * cos_z], axis=1)
+        dk = -dcx[..., None, None] * SIGMA_X - dcy[..., None, None] * SIGMA_Y
+        return dk, np.broadcast_to(0j, dk.shape)  # dG = 0, read-only
+
+    return Table(p.m * SIGMA_0, stiffness, damping, derive)
 
 
 def coefficients(params, points) -> Table:
@@ -259,7 +285,8 @@ def builder(params):
 def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
     """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries.
 
-    delta_k is a table edit (`replace`: its views carry the edited K's H); the derivatives stay exact."""
+    delta_k is a table edit (`replace`: its views carry the edited K's H and eigenvalues); the derivatives
+    stay exact."""
     params = TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi)
     if delta_k is None:
         return builder(params)

@@ -6,9 +6,10 @@ matching, by enumeration up to MAX_ASSIGNMENT entries.
 to fixing them one at a time.
 
 There is no dense eigendecomposition or linear solve here: eigenvalues come
-from LAPACK in `qep.solve`.  Everything in this module is deterministic:
-fixed initial guesses, fixed iteration order, no randomness.  Identical
-inputs give bit-identical outputs, which the golden-file tests rely on.
+from LAPACK in `qep.companion_eigenvalues`, one call per coefficient table.
+Everything in this module is deterministic: fixed initial guesses, fixed
+iteration order, no randomness.  Identical inputs give bit-identical
+outputs, which the golden-file tests rely on.
 """
 
 from __future__ import annotations

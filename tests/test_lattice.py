@@ -1,10 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import multiset_distance
-from excepta import lattice, models, numkernel as nk, qep, topology as topo
+from excepta import cli, lattice, models, numkernel as nk, qep, topology as topo
+
+REPO = Path(__file__).resolve().parents[1]
 
 P = models.LatticeParams()  # kappa1=1.3, kappa2=-0.7, chi=0.5, dchi=0.4, gamma=0.7
 SMALL_SPEC = lattice.WavepacketSpec(grid=(16, 16))
@@ -118,12 +121,28 @@ class TestBandSlice:
         monkeypatch.setattr(lattice, "solve", lambda q: spectra.append(qep.solve(q)) or spectra[-1])
         monkeypatch.setattr(nk, "nullspace", lambda *args: nullspaces.append(args) or nullspace(*args))
         grid, window = SLICES["chain_point_odd"]
-        lattice.band_slice(P, KY_CP, grid=grid, window=window)
-        assert len(spectra) == 81
+        field = lattice.band_slice(P, KY_CP, grid=grid, window=window)
+        assert len(spectra) == 81 and not nullspaces  # vectors wait for first access
+        assert field.vectors.shape == (9, 9, 2, 2)
         calls = len(nullspaces)
         # One EP node: its PF pair and the mirrored pair, one nullspace each.
         assert [s.ep_clusters for s in spectra if s.ep_clusters] == [((0, 1), (2, 3))]
         assert calls == 2
+
+    def test_frequency_only_callers_make_no_vectors(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(module):
+            simple_vectors = module.simple_vectors
+            return lambda *args: calls.append(module.__name__) or simple_vectors(*args)
+
+        for module in (lattice, qep):
+            monkeypatch.setattr(module, "simple_vectors", counted(module))
+        lattice.max_growth_rates(P, SMALL_SPEC)
+        cli.run("lattice-bands", str(REPO / "configs" / "lattice_bands_small.json"), str(tmp_path))
+        assert calls == []
+        lattice.evolve_wavepacket(P, SMALL_SPEC, times=[0.0, 5.0], slab=(16, 16))
+        assert calls == ["excepta.lattice"]
 
     def test_band_continuity(self):
         kcp = lattice.chain_point_coords(P)

@@ -53,7 +53,7 @@ class TestCoefficientTables:
         assert not h.flags.writeable
         assert same_bits(h, qep.linearize(public))
         spectrum, reference = qep.solve(view), qep.solve(public)
-        assert same_bits(spectrum.omegas, reference.omegas)
+        assert same_bits(spectrum.omegas, reference.omegas) and spectrum.pf_gap_ok == reference.pf_gap_ok
         if not spectrum.pf_gap_ok:
             return 0
         d = view.derivatives()
@@ -81,7 +81,8 @@ class TestCoefficientTables:
         edited_build, plain_build = models.theoretical_builder(dchi=-0.05, delta_k=delta_k), models.builder(params)
         points = np.random.default_rng(36).uniform(-0.4, 0.4, (32, 3))
         table = models.coefficients(params, points)
-        assert not table.companion.flags.writeable  # made before the edit below
+        # Both caches are made before the edit below.
+        assert not table.companion.flags.writeable and not table.eigenvalues.flags.writeable
         edited_table = dataclasses.replace(table, stiffness=table.stiffness + delta_k)
         compared = 0
         for i, point in enumerate(points):
@@ -90,10 +91,36 @@ class TestCoefficientTables:
             assert not np.array_equal(qep.linearize(edited), qep.linearize(plain))
             assert same_bits(qep.linearize(edited_table.qmp(i)), qep.linearize(edited))
             compared += self.gradients_equal_public_path(edited) + self.gradients_equal_public_path(edited_table.qmp(i))
-            # A replaced view is a public QMP: it linearizes its own arrays.
+            plain_omegas = qep.solve(plain).omegas  # the view is solved before it is replaced
+            edited_omegas = qep.solve(edited).omegas
+            assert not np.array_equal(edited_omegas, plain_omegas)
+            assert same_bits(qep.solve(edited_table.qmp(i)).omegas, edited_omegas)
+            # A replaced view is a public QMP: it linearizes and solves its own arrays.
             replaced = dataclasses.replace(plain, stiffness=plain.stiffness + delta_k)
             assert same_bits(qep.linearize(replaced), qep.linearize(edited))
+            assert same_bits(qep.solve(replaced).omegas, edited_omegas)
         assert compared > len(points)
+
+    @pytest.mark.parametrize("n", [2, 8, 24])
+    def test_stacked_eigenvalues_equal_per_point_solves(self, n):
+        rng = np.random.default_rng(37 + n)
+        points = 16
+        mass = (np.eye(n) + 0.2 * rng.standard_normal((n, n))).astype(complex)
+        stiffness = rng.standard_normal((points, n, n)) + 0.5 * 1j * rng.standard_normal((points, n, n))
+        stiffness += 4.0 * n * np.eye(n)  # positive diagonal: a real line gap at most points
+        damping = 0.3 * rng.standard_normal((points, n, n)).astype(complex)
+        stiffness[1] = damping[1] = 0.0  # an all-zero spectrum, which has no gap
+        stiffness[2] = -np.abs(stiffness[2])  # negative stiffness: a gapless row
+        table = models.Table(mass, stiffness, damping, lambda: None)
+        gaps = []
+        for i in range(points):
+            spectrum = qep.solve(table.qmp(i))
+            reference = qep.solve(qep.QuadraticMatrixPolynomial(mass, stiffness[i], damping[i]))
+            assert spectrum.omegas.tobytes() == reference.omegas.tobytes()
+            assert spectrum.pf_gap_ok == reference.pf_gap_ok
+            gaps.append(spectrum.pf_gap_ok)
+        assert not table.eigenvalues.flags.writeable and table.eigenvalues.shape == (points, 2 * n)
+        assert not gaps[1] and not gaps[2] and sum(gaps) > points // 2
 
     def test_lattice_window_views_carry_their_companion(self, monkeypatch):
         views = []
