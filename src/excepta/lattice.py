@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .models import LatticeParams, builder, coefficients
-from .qep import csv_text, frequency_clusters, pf_bands, pf_omegas, simple_vectors, solve
-from .topology import match_bands
+from .qep import csv_text, has_frequency_cluster, pf_bands, pf_omegas, simple_vectors, solve
+from .topology import match_band_grid
 from .tracer import newton_on_line
 
 BOUNDARY_TOL = 1e-6
@@ -81,13 +81,16 @@ def band_slice(
     """Track the two PF bands over a (kx, kz) grid at fixed ky.
 
     Rows are matched left-to-right and each row to the one before it by
-    minimal |delta omega|; nodes with a frequency cluster are recorded in
-    bad_cells rather than aborting.  One table holds the model over the grid
-    and solves it in one stacked eigenvalue call; the loop solves each node's
-    view for frequencies only.  On first access to `vectors`, the
-    eigenvectors of every tracked band come from one stacked SVD of the
-    table, and a node whose spectrum has a frequency cluster (an EP
-    puncture) takes its vectors from its own `pf_bands` instead.
+    minimal |delta omega| (`topology.match_band_grid`, the `match_bands`
+    scan as whole-grid array operations); nodes with a frequency cluster are
+    recorded in bad_cells rather than aborting.  One table holds the model
+    over the grid, and solves, sorts and gap-tests it in one stacked call
+    each; the loop solves each node's view for its PF frequencies only, and
+    keeps a node's `Spectrum` only where the table's sorted row has a
+    frequency cluster.  On first access to `vectors`, the eigenvectors of
+    every tracked band come from one stacked SVD of the table, and a node
+    with a frequency cluster (an EP puncture) takes its vectors from its
+    own `pf_bands` instead.
     """
     nx, nz = grid
     if nx < 2 or nz < 2:
@@ -97,28 +100,25 @@ def band_slice(
     kzs = np.linspace(kz0, kz1, nz)
     kx, kz = np.meshgrid(kxs, kzs, indexing="ij")
     table = coefficients(p, np.stack([kx, np.full_like(kx, ky), kz], axis=-1))
-    omegas = np.zeros((nx, nz, 2), dtype=complex)
-    clustered = {}  # cell -> (spectrum, band order)
-
-    for i in range(nx):
-        for j in range(nz):
-            spectrum = solve(table.qmp(i * nz + j))
-            w = pf_omegas(spectrum)
-            if i == 0 and j == 0:
-                cols = [0, 1]
-            else:
-                cols = match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)
-            omegas[i, j] = w[cols]
-            if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
-                clustered[i, j] = spectrum, cols
+    pf = np.empty((nx * nz, 2), dtype=complex)
+    clustered = {}  # cell -> spectrum
+    for k, cluster in enumerate(has_frequency_cluster(table.eigenvalues).tolist()):
+        spectrum = solve(table.qmp(k))
+        pf[k] = pf_omegas(spectrum)
+        if cluster:
+            clustered[divmod(k, nz)] = spectrum
+    pf = pf.reshape(nx, nz, 2)
+    swapped = match_band_grid(pf)
+    omegas = np.where(swapped[..., None], pf[..., ::-1], pf)
 
     node = (nx, nz, 1, 2, 2)
     mass, stiffness, damping = table.mass, table.stiffness.reshape(node), table.damping.reshape(node)
 
     def vectors() -> np.ndarray:
         v = simple_vectors(mass, stiffness, damping, omegas)
-        for cell, (spectrum, cols) in clustered.items():
-            v[cell] = np.array([pair.right for pair in pf_bands(spectrum)])[cols]
+        for cell, spectrum in clustered.items():
+            right = np.array([pair.right for pair in pf_bands(spectrum)])
+            v[cell] = right[::-1] if swapped[cell] else right
         return v
 
     return BandField(kx=kxs, kz=kzs, ky=ky, omegas=omegas, bad_cells=tuple(clustered), _vectors=vectors)
@@ -232,7 +232,8 @@ def evolve_wavepacket(
     """Spectral time evolution of the two-band wavepacket over a slab at the chain-point ky.
 
     Field(t; x, z) = sum_n sum_k w_k A0(k) e^{-i w_n(k) t} |Psi_n(k)> e^{i k r},
-    evaluated as two matrix products per band and component (the k-sum is
+    evaluated as two matrix products per band, each stacked over the four
+    components and bit-identical to one product per component (the k-sum is
     separable in x and z).  Trapezoid weights on the fixed k-grid make the
     quadrature deterministic; evolving 2 A0 gives exactly doubled fields.
     A snapshot is boundary-contaminated when its largest edge amplitude
@@ -258,10 +259,7 @@ def evolve_wavepacket(
         parts = []
         for band in range(2):
             phase = weights * np.exp(-1j * omegas[..., band] * t)
-            comp = np.empty((4, lx, lz), dtype=complex)
-            for c in range(4):
-                comp[c] = ex.T @ (phase * vecs[..., band, c]) @ ez
-            parts.append(comp)
+            parts.append(ex.T @ (phase * np.moveaxis(vecs[..., band, :], -1, 0)) @ ez)  # (4, Lx, Lz)
         return parts
 
     base = field_at(0.0)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numkernel as nk
-from .qep import QuadraticMatrixPolynomial, companion_eigenvalues, linearize
+from .qep import QuadraticMatrixPolynomial, companion_eigenvalues, linearize, sorted_spectra
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -114,9 +114,10 @@ class Table:
 
     `derive()` returns the derivatives of K and G along the point coordinates,
     `dstiffness` and `ddamping`, each (P, 3, N, N).  They, `companion` (the
-    stack linearize(table)) and `eigenvalues` (its unsorted eigenvalues, one
-    LAPACK call for the stack) are each made once, on first use; the last two
-    are read-only.
+    stack linearize(table)), `eigenvalues` (its eigenvalues, one LAPACK call
+    for the stack, each row sorted by (Re, Im)) and `pf_gap_ok` (each row's
+    gap flag, beside them from `qep.sorted_spectra`) are each made once, on
+    first use; the arrays are read-only.
     """
 
     mass: np.ndarray
@@ -143,16 +144,24 @@ class Table:
         return h
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        w = companion_eigenvalues(self.companion)
+    def _spectra(self) -> tuple[np.ndarray, tuple[bool, ...]]:
+        w, ok = sorted_spectra(companion_eigenvalues(self.companion))
         w.flags.writeable = False
-        return w
+        return w, ok
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectra[0]
+
+    @property
+    def pf_gap_ok(self) -> tuple[bool, ...]:
+        return self._spectra[1]
 
     def qmp(self, i: int) -> QuadraticMatrixPolynomial:
-        """The QMP at point i: a view of the stack whose derivatives, H and eigenvalues are the table's rows."""
+        """The QMP at point i: a view of the stack whose derivatives, H, eigenvalues and gap flag are the table's."""
         return QuadraticMatrixPolynomial._from_table(
             self.mass, self.stiffness[i], self.damping[i], lambda: (self.dstiffness[i], self.ddamping[i]),
-            lambda: self.companion[i], lambda: self.eigenvalues[i])
+            lambda: self.companion[i], lambda: (self.eigenvalues[i], self.pf_gap_ok[i]))
 
 
 def _matrices(n: int, *entries) -> np.ndarray:

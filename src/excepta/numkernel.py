@@ -182,6 +182,9 @@ def cluster_indices(values: list, tol: float) -> list[list[int]]:
     return clusters
 
 
+# `topology.match_band_grid` repeats this function's two-band arithmetic on whole arrays and must round
+# like it: np.hypot equals abs(complex) and np.float_power(x, 2) equals x ** 2 bit for bit, which np.abs
+# and np.square do not always (tests/test_numkernel.py guards both equalities).
 def min_cost_assignment(a: np.ndarray, b: np.ndarray, power: int) -> np.ndarray:
     """Column order of `b` minimizing sum |a_i - b_col(i)|**power, exact by enumeration.
 

@@ -35,7 +35,7 @@ class QuadraticMatrixPolynomial:
     returning (dK, dG), each (P, N, N): the derivatives of K and G along the
     P coordinates of the point the QMP was built at (M is constant).  A
     model's QMPs are views of its validated table (`models.coefficients`)
-    that carry its H and its eigenvalues.
+    that carry its H, its sorted eigenvalues and its gap flags.
     """
 
     mass: np.ndarray
@@ -55,12 +55,12 @@ class QuadraticMatrixPolynomial:
         self.__dict__.update(mass=m, stiffness=k, damping=g)  # frozen: bypass __setattr__
 
     @classmethod
-    def _from_table(cls, mass, stiffness, damping, derivatives, h, w) -> "QuadraticMatrixPolynomial":
-        """A QMP of validated arrays, taken as they are; `h()` and `w()` give its read-only H and
-        unsorted eigenvalues (not fields, so `dataclasses.replace` drops them)."""
+    def _from_table(cls, mass, stiffness, damping, derivatives, h, spectrum) -> "QuadraticMatrixPolynomial":
+        """A QMP of validated arrays, taken as they are; `h()` gives its read-only H and `spectrum()` its
+        read-only sorted eigenvalues and gap flag (not fields, so `dataclasses.replace` drops them)."""
         q = object.__new__(cls)
         q.__dict__.update(mass=mass, stiffness=stiffness, damping=damping, derivatives=derivatives, _companion=h,
-                          _eigenvalues=w)
+                          _spectrum=spectrum)
         return q
 
     @property
@@ -140,19 +140,43 @@ def _pf_gap_ok(omegas: np.ndarray) -> bool:
     return 0.0 < sum(mags) < np.inf and min(abs(z.real) for z in w) > max(PF_GAP_RTOL * top, 1e-6 * max(1.0, top))
 
 
+def sorted_spectra(w: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The rows of a (P, 2N) eigenvalue stack sorted by (Re, Im), and each row's gap flag.
+
+    Equal bit for bit to sorting each row alone and testing it with `_pf_gap_ok`.  One row keeps
+    that Python rule, which costs less than numpy's fixed overhead there; a larger stack is sorted by
+    one lexsort along its last axis and gap-tested column by column, summing |w| left to right and
+    taking |w| by np.hypot, as the Python rule does.
+    """
+    if len(w) == 1:
+        row = w[0]
+        row = row[np.lexsort((row.imag, row.real))]
+        return row[None], (_pf_gap_ok(row),)
+    w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+    mags = np.hypot(w.real, w.imag)
+    top, total = mags.max(axis=-1), sum(mags.T)
+    ok = (0.0 < total) & (total < np.inf)
+    ok &= np.abs(w.real).min(axis=-1) > np.maximum(PF_GAP_RTOL * top, 1e-6 * np.maximum(1.0, top))
+    return w, tuple(ok.tolist())
+
+
 def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
     """Eigenfrequencies of the QEP from its companion linearization.
 
     LAPACK's eigenvalues of `linearize(q)` are backward stable (Tisseur and
     Meerbergen, SIAM Review 43, 2001); eigenvectors wait for first access
     to `pairs`.  A view of a `models.Table` reads its row of the table's
-    eigenvalue stack, solved in one call on first use; the sort, the gap
-    rule and the `Spectrum` stay per point.
+    sorted eigenvalue stack and its gap flag, both made for the whole table
+    in one call each on first use; only the `Spectrum` is per point.  Any
+    other QMP sorts and gap-tests its own eigenvalues as a one-row stack.
     """
-    rows = getattr(q, "_eigenvalues", None)
-    omegas = rows() if rows is not None else companion_eigenvalues(linearize(q))
-    omegas = omegas[np.lexsort((omegas.imag, omegas.real))]
-    return Spectrum(omegas=omegas, pf_gap_ok=_pf_gap_ok(omegas), qmp=q)
+    view = getattr(q, "_spectrum", None)
+    if view is not None:
+        omegas, gap_ok = view()
+    else:
+        w, ok = sorted_spectra(companion_eigenvalues(linearize(q))[None])
+        omegas, gap_ok = w[0], ok[0]
+    return Spectrum(omegas=omegas, pf_gap_ok=gap_ok, qmp=q)
 
 
 def _coefficient_scale(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> float:
@@ -202,6 +226,14 @@ def frequency_clusters(omegas: np.ndarray) -> list[list[int]]:
     """
     w = omegas.tolist()
     return nk.cluster_indices(w, EP_OMEGA_RTOL * max(1.0, *map(abs, w)))
+
+
+def has_frequency_cluster(omegas: np.ndarray) -> np.ndarray:
+    """Whether each row of a sorted (..., 2N) stack of finite frequencies has a `frequency_clusters`
+    group of two or more, by the same arithmetic: adjacent differences, and |w| by np.hypot like abs()."""
+    d = np.diff(omegas, axis=-1)
+    tol = EP_OMEGA_RTOL * np.maximum(1.0, np.hypot(omegas.real, omegas.imag).max(axis=-1))
+    return (np.hypot(d.real, d.imag) < tol[..., None]).any(axis=-1)
 
 
 def simple_vectors(mass, stiffness, damping, omegas) -> np.ndarray:

@@ -136,6 +136,45 @@ def match_bands(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     return min_cost_assignment(prev, new, 2)
 
 
+def _xor_scan(start: np.ndarray, flips: np.ndarray, resets: np.ndarray) -> np.ndarray:
+    """Flags along the last axis: `start`, then at each later position the flag before XOR its flip,
+    or False where it resets."""
+    x = np.concatenate([start[..., None], flips], axis=-1)
+    reset = np.concatenate([np.ones_like(x[..., :1]), resets], axis=-1)
+    last = np.maximum.accumulate(np.where(reset, np.arange(x.shape[-1]), 0), axis=-1)
+    count = np.cumsum(x, axis=-1)
+    # The flag is the parity of the flips from the last reset on; a reset's own flip is its value.
+    return (count - np.take_along_axis(count - x, last, axis=-1)) % 2 == 1
+
+
+def match_band_grid(w: np.ndarray) -> np.ndarray:
+    """Swap flags of two bands over an (nx, nz, 2) grid, equal to scanning it with `match_bands`.
+
+    The scan matches each node to its left neighbour, and the first node of
+    each row to the first node of the row before, each time against the
+    neighbour's matched order; node (0, 0) keeps its order.  A flag is True
+    where `match_bands` returns [1, 0].  For two bands no sequential pass is
+    needed: an edge's bit says that its swap cost is strictly below its
+    identity cost on the unmatched rows.  A swapped neighbour exchanges the
+    two sums (IEEE addition is commutative), so a node's flag is its
+    neighbour's XOR the bit, except that an exact tie keeps the identity and
+    so resets the flag to False.  The costs repeat `min_cost_assignment`'s
+    arithmetic, so the flags are exact, and non-finite costs raise ValueError
+    as it does.
+    """
+    def edges(prev, new):
+        d = prev[..., :, None] - new[..., None, :]
+        cost = np.float_power(np.hypot(d.real, d.imag), 2)
+        same, swap = cost[..., 0, 0] + cost[..., 1, 1], cost[..., 0, 1] + cost[..., 1, 0]
+        # The total `min_cost_assignment` checks, summed in its order.
+        if not np.isfinite((cost[..., 0, 0] + cost[..., 0, 1]) + (cost[..., 1, 0] + cost[..., 1, 1])).all():
+            raise ValueError("assignment costs must be finite")
+        return swap < same, swap == same
+
+    first = _xor_scan(np.array(False), *edges(w[:-1, 0], w[1:, 0]))
+    return _xor_scan(first, *edges(w[:, :-1], w[:, 1:]))
+
+
 def _min_separation(w: np.ndarray) -> float:
     if len(w) < 2:
         return np.inf

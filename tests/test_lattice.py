@@ -234,6 +234,25 @@ class TestWavepacket:
         slope = (la[1] - la[0]) / 20.0
         assert slope == pytest.approx(g1, rel=0.15)
 
+    def test_fields_equal_per_band_and_component_products(self):
+        spec, slab, times = lattice.WavepacketSpec(grid=(12, 10)), (16, 18), [0.0, 4.5, 31.0]
+        fields = lattice.evolve_wavepacket(P, spec, times, slab=slab)
+        omegas, vecs = lattice._state_vectors(lattice._window_bands(P, spec))
+        kxs, kzs = spec.axes()
+        wx, wz = np.ones(len(kxs)), np.ones(len(kzs))
+        wx[[0, -1]] = wz[[0, -1]] = 0.5
+        weights = (kxs[1] - kxs[0]) * (kzs[1] - kzs[0]) * np.outer(wx, wz) * spec.amplitude(kxs, kzs)
+        ex = np.exp(1j * np.outer(kxs, np.arange(slab[0]) - slab[0] // 2))
+        ez = np.exp(1j * np.outer(kzs, np.arange(slab[1]) - slab[1] // 2))
+        for t, field in zip(times, fields):
+            bands = np.empty((2, 4, *slab), dtype=complex)
+            for band in range(2):
+                phase = weights * np.exp(-1j * omegas[..., band] * t)
+                for c in range(4):
+                    bands[band, c] = ex.T @ (phase * vecs[..., band, c]) @ ez
+            assert np.stack(field.bands).tobytes() == bands.tobytes()
+            assert field.total.tobytes() == (bands[0] + bands[1]).tobytes()
+
     def test_zero_field_error(self):
         fields = lattice.evolve_wavepacket(P, SMALL_SPEC, times=[0.0], slab=(64, 64))
         f = fields[0]

@@ -114,11 +114,15 @@ class TestCoefficientTables:
         table = models.Table(mass, stiffness, damping, lambda: None)
         gaps = []
         for i in range(points):
-            spectrum = qep.solve(table.qmp(i))
+            # The P = 16 table and this point's own P = 1 table take the two sides of the size selection.
+            single = models.Table(mass, stiffness[i:i + 1], damping[i:i + 1], lambda: None)
             reference = qep.solve(qep.QuadraticMatrixPolynomial(mass, stiffness[i], damping[i]))
-            assert spectrum.omegas.tobytes() == reference.omegas.tobytes()
-            assert spectrum.pf_gap_ok == reference.pf_gap_ok
-            gaps.append(spectrum.pf_gap_ok)
+            for stack, row in ((table, i), (single, 0)):
+                spectrum = qep.solve(stack.qmp(row))
+                assert spectrum.omegas.tobytes() == stack.eigenvalues[row].tobytes() == reference.omegas.tobytes()
+                assert spectrum.pf_gap_ok is stack.pf_gap_ok[row] is reference.pf_gap_ok
+            assert not single.eigenvalues.flags.writeable and single.eigenvalues.shape == (1, 2 * n)
+            gaps.append(reference.pf_gap_ok)
         assert not table.eigenvalues.flags.writeable and table.eigenvalues.shape == (points, 2 * n)
         assert not gaps[1] and not gaps[2] and sum(gaps) > points // 2
 

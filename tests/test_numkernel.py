@@ -97,6 +97,16 @@ class TestHelpers:
         with pytest.raises(ValueError):
             nk.as_matrix([[1.0, np.inf], [0.0, 1.0]])
 
+    def test_array_rules_round_like_scalar_abs_and_square(self):
+        # The vectorized gap, cluster and band-matching rules rely on these two equalities.
+        rng = np.random.default_rng(38)
+        scale = 10.0 ** rng.uniform(-150, 150, (2, 100_000))
+        z = rng.normal(size=100_000) * scale[0] + 1j * rng.normal(size=100_000) * scale[1]
+        mags = np.hypot(z.real, z.imag)
+        assert mags.tobytes() == np.array([abs(v) for v in z.tolist()]).tobytes()
+        x = mags[mags < 1e150]
+        assert np.float_power(x, 2).tobytes() == np.array([v**2 for v in x.tolist()]).tobytes()
+
 
 def test_solve_on_companion_form():
     # The two-oscillator problem at gamma = kappa = 0, chi = 0.1,

@@ -232,19 +232,28 @@ class TestPfBands:
             return top != 0.0 and bool(np.abs(w.real).min() > max(qep.PF_GAP_RTOL * top, 1e-6 * max(1.0, top)))
 
         rng = np.random.default_rng(35)
-        outcomes = []
+        outcomes, spectra = [], []
         for _ in range(2000):
             # Real parts from 1e-9 to 1 of the scale straddle both thresholds.
             w = 10.0 ** rng.uniform(-8, 4) * (rng.normal(size=4) * 10.0 ** rng.uniform(-9, 0, 4) + 1j * rng.normal(size=4))
             outcomes.append(qep._pf_gap_ok(w))
             assert outcomes[-1] == numpy_rule(w)
+            spectra.append(w)
         assert 0 < sum(outcomes) < len(outcomes)
         assert not qep._pf_gap_ok(np.zeros(4, complex))
+        spectra.append(np.zeros(4, complex))
         for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 1.0)):
             for i in range(4):
                 w = np.array([-2.0, -1.0, 1.0, 2.0], dtype=complex)
                 w[i] = bad
                 assert not qep._pf_gap_ok(w)
+                spectra.append(w)
+        # The same spectra as one stack: the vectorized rule agrees row by row.
+        rows, flags = qep.sorted_spectra(np.array(spectra))
+        for w, row, flag in zip(spectra, rows, flags):
+            assert row.tobytes() == w[np.lexsort((w.imag, w.real))].tobytes()
+            assert flag is qep._pf_gap_ok(row) is qep._pf_gap_ok(w)
+        assert list(flags[:2000]) == outcomes and not any(flags[2000:])
 
 
 class TestPairGradient:

@@ -119,6 +119,53 @@ class TestMatchBands:
                     qep.particle_hole_residual(s)
 
 
+def scan_match_bands(w):
+    """The sequential scan of `lattice.band_slice`'s reference loop: each node against its
+    left neighbour's matched order, a row's first node against the row before."""
+    omegas = np.zeros_like(w)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            new = w[i, j]
+            if (i, j) != (0, 0):
+                new = new[topo.match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], new)]
+            omegas[i, j] = new
+    return omegas
+
+
+class TestMatchBandGrid:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_sequential_scan_with_ties(self, seed):
+        rng = np.random.default_rng(380 + seed)
+        nx, nz = rng.integers(2, 12, 2)
+        # Coarse dyadic values, so many edges tie exactly: equal bands, repeated nodes, swapped
+        # duplicates, and differences at right angles (|a0-b0|^2 + |a1-b1|^2 = |a0-b1|^2 + |a1-b0|^2).
+        w = (rng.integers(-2, 3, (nx, nz, 2)) + 1j * rng.integers(-2, 3, (nx, nz, 2))) / 2.0
+        w[rng.random((nx, nz)) < 0.2] = w[0, 0]
+        swap = rng.random((nx, nz)) < 0.2
+        w[swap] = w[0, 0, ::-1]
+        fine = rng.random((nx, nz)) < 0.3  # generic values, some one ulp from a tie
+        w[fine] = rng.normal(size=(fine.sum(), 2)) + 1j * rng.normal(size=(fine.sum(), 2))
+        w[fine & (rng.random((nx, nz)) < 0.5), 0] *= np.nextafter(1.0, 2.0)
+        expected = scan_match_bands(w)
+        flags = topo.match_band_grid(w)
+        assert np.where(flags[..., None], w[..., ::-1], w).tobytes() == expected.tobytes()
+
+    def test_tie_after_a_swap_keeps_the_identity(self):
+        # Node (0, 1) swaps; the edge to (0, 2) ties exactly, so (0, 2) keeps its order.
+        w = np.array([[[1, 2], [2, 1], [1.5 + 1j, 1.5 + 2j]]], dtype=complex)
+        assert topo.match_band_grid(w).tolist() == [[False, True, False]]
+        assert np.where(topo.match_band_grid(w)[..., None], w[..., ::-1], w).tobytes() == scan_match_bands(w).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])
+    def test_non_finite_costs_raise(self, bad):
+        w = np.ones((2, 3, 2), dtype=complex)
+        w[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scan_match_bands(w)
+        with pytest.raises(ValueError, match="finite"):
+            topo.match_band_grid(w)
+
+
 class TestEnergyVorticity:
     def test_er_loop_full_braid(self, theoretical_build):
         nu = topo.energy_vorticity(topo.track_bands(theoretical_build, er_loop()))
