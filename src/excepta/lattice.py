@@ -180,20 +180,25 @@ class WavepacketSpec:
 
 @dataclass(frozen=True)
 class WaveField:
-    """Snapshot of the slab field: total and per-band 4-component arrays.
+    """Snapshot of the slab field as its two per-band 4-component arrays.
 
-    Components are (u_A, u_B, du_A/dt, du_B/dt) per site; total equals the
-    sum of the band parts by construction.  a_ref is the peak amplitude of
-    the t = 0 field used to normalize growth curves.
+    Components are (u_A, u_B, du_A/dt, du_B/dt) per site.  Only the bands are
+    stored, 2 x 4 x Lx x Lz complex values; `total`, their sum, is computed
+    again on each access and never kept.  a_ref is the peak amplitude of the
+    t = 0 field used to normalize growth curves.
     """
 
     t: float
     x: np.ndarray
     z: np.ndarray
-    total: np.ndarray  # (4, Lx, Lz)
-    bands: tuple[np.ndarray, np.ndarray]
+    bands: tuple[np.ndarray, np.ndarray]  # each (4, Lx, Lz)
     a_ref: float
     boundary_contaminated: bool
+
+    @property
+    def total(self) -> np.ndarray:
+        """The full field, bands[0] + bands[1], as a new (4, Lx, Lz) array on every access."""
+        return self.bands[0] + self.bands[1]
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,9 @@ def evolve_wavepacket(
     separable in x and z).  Trapezoid weights on the fixed k-grid make the
     quadrature deterministic; evolving 2 A0 gives exactly doubled fields.
     A snapshot is boundary-contaminated when its largest edge amplitude
-    exceeds BOUNDARY_TOL of its peak.
+    exceeds BOUNDARY_TOL of its peak.  Snapshots keep only their band arrays,
+    and the peak and edge amplitudes of their sum are read one component or
+    edge at a time, so no full-slab sum is made.
     """
     lx, lz = slab
     xs = np.arange(lx) - lx // 2
@@ -262,26 +269,24 @@ def evolve_wavepacket(
             parts.append(ex.T @ (phase * np.moveaxis(vecs[..., band, :], -1, 0)) @ ez)  # (4, Lx, Lz)
         return parts
 
+    edges = (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1])  # of a (4, Lx, Lz) field
+
+    def peak(parts) -> float:
+        return np.max([np.abs(parts[0][c] + parts[1][c]).max() for c in range(len(parts[0]))])
+
     base = field_at(0.0)
-    a_ref = float(max(np.abs(base[0] + base[1]).max(), 1e-300))
+    a_ref = float(max(peak(base), 1e-300))
 
     out = []
     for t in times:
         parts = field_at(float(t)) if t != 0.0 else base
-        total = parts[0] + parts[1]
-        edge = max(
-            np.abs(total[:, 0, :]).max(),
-            np.abs(total[:, -1, :]).max(),
-            np.abs(total[:, :, 0]).max(),
-            np.abs(total[:, :, -1]).max(),
-        )
-        contaminated = edge > BOUNDARY_TOL * np.abs(total).max()
+        edge = max(np.abs(parts[0][s] + parts[1][s]).max() for s in edges)
+        contaminated = edge > BOUNDARY_TOL * peak(parts)
         out.append(
             WaveField(
                 t=float(t),
                 x=xs,
                 z=zs,
-                total=total,
                 bands=(parts[0], parts[1]),
                 a_ref=a_ref,
                 boundary_contaminated=bool(contaminated),
@@ -302,8 +307,9 @@ def max_growth_rates(p: LatticeParams, spec: WavepacketSpec) -> tuple[float, flo
 def field_to_csv(w: WaveField) -> str:
     """Plain-text dump: x, z, then Re/Im of the 4 field components per site."""
     header = ["x", "z"] + [f"{p}_{c}" for c in ("uA", "uB", "vA", "vB") for p in ("re", "im")]
+    total = w.total  # once: the property sums the bands on every access
     rows = (
-        [float(x), float(z)] + [part for u in w.total[:, i, j] for part in (u.real, u.imag)]
+        [float(x), float(z)] + [part for u in total[:, i, j] for part in (u.real, u.imag)]
         for i, x in enumerate(w.x)
         for j, z in enumerate(w.z)
     )

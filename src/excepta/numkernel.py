@@ -197,7 +197,10 @@ def min_cost_assignment(a: np.ndarray, b: np.ndarray, power: int) -> np.ndarray:
     if n != len(b) or n > MAX_ASSIGNMENT:
         raise ValueError(f"assignment needs equal lengths of at most {MAX_ASSIGNMENT}, got {n} and {len(b)}")
     y = b.tolist()
-    cost = [[abs(p - q) ** power for q in y] for p in a.tolist()]
+    try:
+        cost = [[abs(p - q) ** power for q in y] for p in a.tolist()]
+    except OverflowError:  # float ** and complex abs raise where finite inputs give an infinite cost
+        raise ValueError("assignment costs must be finite") from None
     if not math.isfinite(sum(map(sum, cost))):  # so is every permutation's sum
         raise ValueError("assignment costs must be finite")
     best, order = math.inf, None

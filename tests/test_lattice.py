@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,40 @@ class TestWavepacket:
             assert np.stack(field.bands).tobytes() == bands.tobytes()
             assert field.total.tobytes() == (bands[0] + bands[1]).tobytes()
 
+    def test_snapshots_keep_only_their_bands(self):
+        # t = 0 twice: both snapshots share the one t = 0 evaluation, so three are distinct.
+        spec, slab, times = lattice.WavepacketSpec(grid=(16, 16)), (72, 64), [0.0, 5.0, 0.0, 11.0]
+        band_bytes = 4 * slab[0] * slab[1] * np.dtype(complex).itemsize
+        lattice.evolve_wavepacket(P, spec, times, slab=slab)  # fill any first-call caches
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fields = lattice.evolve_wavepacket(P, spec, times, slab=slab)
+            retained, peak = (n - before for n in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        distinct = len({id(f.bands[0]) for f in fields})
+        assert distinct == 3
+        assert abs(retained - distinct * 2 * band_bytes) < 16_384
+        # The transients (one component's sum and abs, the (4, Lx, nz) matmul product)
+        # stay below one band array here; a full-slab sum and abs would add 1.5 of them.
+        assert peak < retained + band_bytes
+        f = fields[1]
+        total = f.bands[0] + f.bands[1]
+        header = ["x", "z"] + [f"{p}_{c}" for c in ("uA", "uB", "vA", "vB") for p in ("re", "im")]
+        rows = (
+            [float(x), float(z)] + [part for u in total[:, i, j] for part in (u.real, u.imag)]
+            for i, x in enumerate(f.x)
+            for j, z in enumerate(f.z)
+        )
+        assert lattice.field_to_csv(f) == qep.csv_text(header, rows)
+        assert all(np.array_equal(g.total, g.bands[0] + g.bands[1]) for g in fields)
+        assert not any("total" in vars(g) for g in fields)  # read above, yet not kept
+
     def test_zero_field_error(self):
         fields = lattice.evolve_wavepacket(P, SMALL_SPEC, times=[0.0], slab=(64, 64))
         f = fields[0]
@@ -260,7 +295,6 @@ class TestWavepacket:
             t=0.0,
             x=f.x,
             z=f.z,
-            total=np.zeros_like(f.total),
             bands=(np.zeros_like(f.total), np.zeros_like(f.total)),
             a_ref=1.0,
             boundary_contaminated=False,

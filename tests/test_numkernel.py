@@ -108,6 +108,18 @@ class TestHelpers:
         assert np.float_power(x, 2).tobytes() == np.array([v**2 for v in x.tolist()]).tobytes()
 
 
+@pytest.mark.parametrize(
+    "a, b, power",
+    [
+        ([1.0, 2.0], [1e300, 2.0], 2),  # |1 - 1e300| ** 2 overflows a float power
+        ([1.7e308 + 1.7e308j, 0.0], [0.0, 0.0], 1),  # the complex abs overflows
+    ],
+)
+def test_min_cost_assignment_overflowing_costs_raise_value_error(a, b, power):
+    with pytest.raises(ValueError, match="finite"):
+        nk.min_cost_assignment(np.array(a, dtype=complex), np.array(b, dtype=complex), power)
+
+
 def test_solve_on_companion_form():
     # The two-oscillator problem at gamma = kappa = 0, chi = 0.1,
     # dchi = -0.05: K eigenvalues kbar +- sqrt(chi (chi + dchi)), frequencies

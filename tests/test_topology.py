@@ -93,6 +93,11 @@ class TestMatchBands:
         with pytest.raises(ValueError, match="finite"):
             topo.match_bands(np.array([1.0, 2.0, 3.0]), np.array([1.0, np.inf, 3.0]))
 
+    def test_overflowing_cost_raises(self):
+        # Both frequencies are finite, but |1 - 1e300| ** 2 is not.
+        with pytest.raises(ValueError, match="finite"):
+            topo.match_bands(np.array([1.0, 2.0]), np.array([1e300, 2.0]))
+
     def test_raises_above_the_cap(self):
         w = np.arange(numkernel.MAX_ASSIGNMENT + 1, dtype=complex)
         with pytest.raises(ValueError, match="at most"):
