@@ -2,7 +2,8 @@
 
     excepta <command> --config cfg.json [--out DIR] [--seed N] [--jobs N]
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure
+Exit codes: 0 success, 2 config/validation error or an --out that cannot be
+made a directory, 3 numerical failure, numpy's LinAlgError included
 (diagnostics as JSON on stderr: error, message, and the point/value or
 best/residual the failure carries).  All floats are printed with 12
 significant digits and JSON keys are sorted, so artifacts are stable
@@ -20,21 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lattice as lat
-from . import models, retrieval, symmetry, topology, tracer
-from . import qep
-from .numkernel import ConvergenceError
-
-NUMERICAL_ERRORS = (
-    ConvergenceError,
-    qep.SpectralGapError,
-    topology.TrackingError,
-    topology.IsolationError,
-    tracer.RefineError,
-    tracer.DiabolicPointError,
-    lat.ChainPointError,
-    symmetry.PoleError,
-)
+from . import models, qep
+from .numkernel import NumericalError
 
 
 class ConfigError(ValueError):
@@ -246,7 +234,7 @@ SCHEMAS = {
             "dump_fields": (BOOL, False),
         },
         "synth": {
-            "params": {name: (NUMBER, 0.0) for name in retrieval.PARAM_NAMES},
+            "params": {name: (NUMBER, 0.0) for name in qep.PARAM_NAMES},
             "freqs": {"from": NUMBER, "to": NUMBER, "n": INT},
             "noise": (NUMBER, 0.0),
             "seed": (INT, None),
@@ -278,6 +266,8 @@ def _built(fields: str, make, *args, **kwargs):
 
 
 def parse_path(spec) -> topology.ParameterPath:
+    from . import topology
+
     kind, body = spec
     if kind == "circle":
         return topology.circle_path(**body)
@@ -288,6 +278,8 @@ def parse_path(spec) -> topology.ParameterPath:
 
 def parse_plane(spec, params) -> tracer.PlaneSpec | None:
     """None, a checked {origin, u, v, tag}, a named plane or 'k<axis>=<value>'."""
+    from . import tracer
+
     if spec is None:
         return None
     if isinstance(spec, dict):
@@ -318,6 +310,8 @@ def cmd_solve(cfg, jobs):
 
 
 def cmd_sweep(cfg, jobs):
+    from . import topology
+
     _, params = cfg["model"]
     ramp = cfg["ramp"]
     axis = AXES.index(ramp["param"])
@@ -342,6 +336,8 @@ def cmd_sweep(cfg, jobs):
 
 
 def cmd_vorticity(cfg, jobs):
+    from . import topology
+
     name, params = cfg["model"]
     build = models.builder(params)
     i, j = cfg["bands"]
@@ -377,6 +373,8 @@ def cmd_vorticity(cfg, jobs):
 
 
 def cmd_arc(cfg, jobs):
+    from . import topology
+
     _, params = cfg["model"]
     a = cfg["arc"]
     path = _built("'arc'", topology.arc_path, a["start"], a["end"], a["via"], a["bulge"], a["n"])
@@ -401,6 +399,8 @@ def _window(cfg) -> tuple:
 
 
 def cmd_trace(cfg, jobs):
+    from . import tracer
+
     _, params = cfg["model"]
     window = _window(cfg)
     plane = parse_plane(cfg["plane"], params)
@@ -412,6 +412,8 @@ def cmd_trace(cfg, jobs):
 
 
 def cmd_chain(cfg, jobs):
+    from . import tracer
+
     _, params = cfg["model"]
     build = models.builder(params)
     window = _window(cfg)
@@ -445,6 +447,8 @@ def cmd_chain(cfg, jobs):
 
 
 def cmd_surface_audit(cfg, jobs):
+    from . import topology
+
     _, params = cfg["model"]
     kind, body = cfg["surface"]
     surface = _built("'surface'", topology.box_surface if kind == "box" else topology.sphere_surface, **body)
@@ -454,6 +458,8 @@ def cmd_surface_audit(cfg, jobs):
 
 
 def cmd_symmetry_check(cfg, jobs):
+    from . import symmetry
+
     name, params = cfg["model"]
     rel_name = cfg["relation"]
     gamma0 = getattr(params, "gamma0", 0.0)
@@ -482,6 +488,8 @@ def cmd_symmetry_check(cfg, jobs):
 
 
 def cmd_latent_check(cfg, jobs):
+    from . import symmetry
+
     name, params = cfg["model"]
     g = np.asarray(cfg["point"])
     if name == "theoretical":
@@ -523,9 +531,11 @@ def cmd_effective(cfg, jobs):
 
 
 def cmd_lattice_bands(cfg, jobs):
+    from . import lattice
+
     _, params = cfg["model"]
-    ky = float(lat.chain_point_coords(params)[1]) if cfg["ky"] == "chain-point" else cfg["ky"]
-    field = _built("'ky', 'grid' or 'window'", lat.band_slice, params, ky, grid=cfg["grid"], window=cfg["window"])
+    ky = float(lattice.chain_point_coords(params)[1]) if cfg["ky"] == "chain-point" else cfg["ky"]
+    field = _built("'ky', 'grid' or 'window'", lattice.band_slice, params, ky, grid=cfg["grid"], window=cfg["window"])
     rows = []
     for i, kx in enumerate(field.kx):
         for j, kz in enumerate(field.kz):
@@ -538,37 +548,43 @@ def cmd_lattice_bands(cfg, jobs):
 
 
 def cmd_chain_point(cfg, jobs):
+    from . import lattice
+
     _, params = cfg["model"]
-    k = lat.chain_point_coords(params)
+    k = lattice.chain_point_coords(params)
     payload = {"ky": k[1], "k": k}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
 
 def cmd_wavepacket(cfg, jobs):
+    from . import lattice
+
     _, params = cfg["model"]
-    spec = _built("'spec'", lat.WavepacketSpec, **cfg["spec"])
+    spec = _built("'spec'", lattice.WavepacketSpec, **cfg["spec"])
     times = cfg["times"]
     if min(cfg["slab"]) < 1:
         raise ConfigError("field 'slab' needs at least one site along each axis")
-    fields = lat.evolve_wavepacket(params, spec, times, slab=cfg["slab"])
+    fields = lattice.evolve_wavepacket(params, spec, times, slab=cfg["slab"])
     rows = []
     for f in fields:
         for band in (1, 2):
-            m = lat.pulse_metrics(f, band)
+            m = lattice.pulse_metrics(f, band)
             rows.append(
                 [f.t, band, m.centroid_z, m.log_amplitude, m.width_x, m.width_z, m.aspect, int(f.boundary_contaminated)]
             )
     header = ["t", "band", "centroid_z", "log_amplitude", "width_x", "width_z", "aspect", "boundary_flag"]
-    g1, g2 = lat.max_growth_rates(params, spec)
+    g1, g2 = lattice.max_growth_rates(params, spec)
     payload = {"n_times": len(times), "max_growth": [g1, g2]}
     files = [(cfg["output"] + ".csv", qep.csv_text(header, rows))]
     if cfg["dump_fields"]:
         for f in fields:
-            files.append((f"{cfg['output']}_field_t{f.t:g}.csv", lat.field_to_csv(f)))
+            files.append((f"{cfg['output']}_field_t{f.t:g}.csv", lattice.field_to_csv(f)))
     return payload, files
 
 
 def cmd_synth(cfg, jobs):
+    from . import retrieval
+
     f = cfg["freqs"]
     freqs = _built("'freqs'", np.linspace, f["from"], f["to"], f["n"])
     spectra = _built("'freqs', 'params' or 'noise'", retrieval.synth_response,
@@ -579,6 +595,8 @@ def cmd_synth(cfg, jobs):
 
 
 def cmd_fit(cfg, jobs):
+    from . import retrieval
+
     data_path = Path(cfg["data"])
     if not data_path.exists():
         raise ConfigError(f"field 'data': file {data_path} does not exist")
@@ -617,9 +635,12 @@ def run(command: str, config_path: str, out_dir: str = ".", seed: int = 0, jobs:
     cfg = load(SCHEMAS[command], raw)
     if "seed" in cfg and cfg["seed"] is None:
         cfg["seed"] = seed
-    summary, files = HANDLERS[command](cfg, jobs)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"option '--out': cannot make directory {out}: {exc.strerror}") from exc
+    summary, files = HANDLERS[command](cfg, jobs)
     for fname, content in files:
         (out / fname).write_text(content)
     return summary
@@ -638,7 +659,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         fields = {k: getattr(exc, k, None) for k in ("point", "value", "best", "residual")}
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         diagnostic.update((k, v) for k, v in fields.items() if v is not None)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .models import LatticeParams, builder, coefficients
+from .numkernel import NumericalError
 from .qep import csv_text, has_frequency_cluster, pf_bands, pf_omegas, simple_vectors, solve
 from .topology import match_band_grid
 from .tracer import newton_on_line
@@ -25,7 +26,7 @@ from .tracer import newton_on_line
 BOUNDARY_TOL = 1e-6
 
 
-class ChainPointError(ValueError):
+class ChainPointError(ValueError, NumericalError):
     """The closed form has no solution on the ky axis for these parameters."""
 
 

@@ -31,7 +31,11 @@ MAX_ASSIGNMENT = 6
 _PERMUTATIONS = [tuple(itertools.permutations(range(n))) for n in range(MAX_ASSIGNMENT + 1)]
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(Exception):
+    """Marker base of every numerical failure the library raises (the CLI's exit 3)."""
+
+
+class ConvergenceError(RuntimeError, NumericalError):
     """Iteration cap reached; carries the best iterate and its residual."""
 
     def __init__(self, message, best=None, residual=None):

@@ -21,9 +21,13 @@ EP_OMEGA_RTOL = 1e-6
 # |D+| a traced exceptional-line vertex reaches; a pair of frequencies split
 # by up to its square root, relative to max(1, max|w|), is a candidate EP.
 VERTEX_TOL = 1e-8
+# The response-spectrum parameters `retrieval` fits.  They live here, in a
+# module every command loads, so the CLI's `synth` schema can list them
+# without importing `retrieval`.
+PARAM_NAMES = ("kappa0", "gamma0", "chi", "dchi", "kappa", "gamma", "c")
 
 
-class SpectralGapError(RuntimeError):
+class SpectralGapError(RuntimeError, nk.NumericalError):
     """No real line gap at Re(w) = 0."""
 
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import ConvergenceError
-from .qep import csv_text
-
-PARAM_NAMES = ("kappa0", "gamma0", "chi", "dchi", "kappa", "gamma", "c")
+from .qep import PARAM_NAMES, csv_text
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .qep import QuadraticMatrixPolynomial, evaluate
 UNITARY_TOL = 1e-12
 
 
-class PoleError(RuntimeError):
+class PoleError(RuntimeError, nk.NumericalError):
     """Reduction evaluated at an eigenvalue of the complement block."""
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import min_cost_assignment
+from .numkernel import NumericalError, min_cost_assignment
 from .qep import Spectrum, pf_omegas, solve
 
 QUANTIZATION_TOL = 1e-3
@@ -29,11 +29,11 @@ MAX_BISECTIONS = 48
 ARC_ENDPOINT_TOL = 1e-10
 
 
-class TrackingError(RuntimeError):
+class TrackingError(RuntimeError, NumericalError):
     """Band continuation failed (EP on path or refinement exhausted)."""
 
 
-class IsolationError(RuntimeError):
+class IsolationError(RuntimeError, NumericalError):
     """A probe loop cannot isolate a single puncture."""
 
 

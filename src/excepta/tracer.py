@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import topology as topo
+from .numkernel import NumericalError
 from .qep import VERTEX_TOL, SpectralGapError, pair_gradient, pf_omegas, solve
 from .topology import circle_path, discriminant_number
 
@@ -35,7 +36,7 @@ ORIENT_MARGIN = 0.5
 TRACE_MAX_STEPS = 4000
 
 
-class DiabolicPointError(RuntimeError):
+class DiabolicPointError(RuntimeError, NumericalError):
     """Degeneracy with two independent eigenvectors: not exceptional."""
 
 
@@ -43,7 +44,7 @@ class DuplicateLineError(ValueError):
     """Two lines given to assemble_chain trace the same exceptional line."""
 
 
-class RefineError(RuntimeError):
+class RefineError(RuntimeError, NumericalError):
     """Newton + fallback failed to reach the discriminant zero set."""
 
     def __init__(self, message, point=None, value=None):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -24,6 +25,11 @@ def run_cli(args, cwd=REPO):
 
 def config_command(path: Path) -> str:
     return json.loads(path.read_text())["command"]
+
+
+def config_argv(stem: str, out: Path) -> list:
+    cfg = CONFIGS / f"{stem}.json"
+    return [config_command(cfg), "--config", str(cfg), "--out", str(out)]
 
 
 def edited_config(stem: str, edit) -> dict:
@@ -288,6 +294,127 @@ class TestExitCodes:
         assert err["error"] == "RefineError"
         assert len(err["point"]) == 3
 
+    def test_linalg_error_exit_3(self, tmp_path):
+        # Both values pass validation, but kbar / m0 overflows the companion
+        # matrix, and numpy's LinAlgError is a numerical failure.
+        cfg = tmp_path / "overflow.json"
+        model = {"model": "theoretical", "params": {"m0": 1e-300, "kbar": 1e300}}
+        cfg.write_text(json.dumps({"command": "solve", "model": model, "output": "x"}))
+        res = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.returncode == 3, res.stderr
+        err = json.loads(res.stderr.splitlines()[-1])
+        assert err["error"] == "LinAlgError"
+        assert err["message"]
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unusable_out_exit_2(self, out, tmp_path):
+        (tmp_path / "taken").write_text("not a directory")
+        cfg = CONFIGS / "solve_theoretical.json"
+        res = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert res.returncode == 2, res.stderr
+        err = json.loads(res.stderr)
+        assert err["error"] == "config"
+        assert "--out" in err["message"]
+        assert (tmp_path / "taken").read_text() == "not a directory"
+
+
+# The library's numerical error classes, each with the base it had before
+# numkernel.NumericalError.
+OLD_BASES = {
+    "excepta.numkernel.ConvergenceError": RuntimeError,
+    "excepta.qep.SpectralGapError": RuntimeError,
+    "excepta.topology.TrackingError": RuntimeError,
+    "excepta.topology.IsolationError": RuntimeError,
+    "excepta.tracer.RefineError": RuntimeError,
+    "excepta.tracer.DiabolicPointError": RuntimeError,
+    "excepta.lattice.ChainPointError": ValueError,
+    "excepta.symmetry.PoleError": RuntimeError,
+}
+
+# Each of them, and numpy's LinAlgError, raised from inside a handler whose
+# module the CLI imports on demand: (module and function patched, error, its
+# structured fields, config stem).
+NUMERICAL_FAILURES = [
+    ("retrieval", "fit_parameters", "excepta.numkernel.ConvergenceError", {"best": [0.5, 1.5], "residual": 0.25},
+     "fit_demo"),
+    ("topology", "arc_invariant", "excepta.qep.SpectralGapError", {}, "arc_one_chain"),
+    ("topology", "track_bands", "excepta.topology.TrackingError", {}, "vorticity_chain_loop"),
+    ("topology", "surface_audit", "excepta.topology.IsolationError", {}, "surface_audit_box"),
+    ("tracer", "trace_el", "excepta.tracer.RefineError", {"point": [0.1, 0.2, 0.3], "value": 0.5}, "trace_er"),
+    ("tracer", "trace_el", "excepta.tracer.DiabolicPointError", {}, "chain_theoretical"),
+    ("lattice", "chain_point_coords", "excepta.lattice.ChainPointError", {}, "chain_point_lattice"),
+    ("symmetry", "theorem2_crosscheck", "excepta.symmetry.PoleError", {}, "latent_theoretical"),
+    ("retrieval", "synth_response", "numpy.linalg.LinAlgError", {}, "synth_demo"),
+]
+
+# Replace one library function by one that raises, then run the CLI in-process.
+INJECT_FAILURE = (
+    "import importlib, json, sys\n"
+    "from excepta import cli\n"
+    "module, function, error, fields, argv = json.loads(sys.argv[1])\n"
+    "error_module, _, error_name = error.rpartition('.')\n"
+    "exc = getattr(importlib.import_module(error_module), error_name)('injected', **fields)\n"
+    "def fail(*args, **kwargs):\n"
+    "    raise exc\n"
+    "setattr(importlib.import_module('excepta.' + module), function, fail)\n"
+    "sys.exit(cli.main(argv))\n"
+)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize(
+        "module, function, error, fields, stem",
+        NUMERICAL_FAILURES,
+        ids=[case[2].split(".")[-1] for case in NUMERICAL_FAILURES],
+    )
+    def test_exit_3_with_structured_fields(self, module, function, error, fields, stem, tmp_path):
+        argv = config_argv(stem, tmp_path)
+        res = subprocess.run(
+            [sys.executable, "-c", INJECT_FAILURE, json.dumps([module, function, error, fields, argv])],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert res.returncode == 3, res.stderr
+        assert json.loads(res.stderr) == {"error": error.split(".")[-1], "message": "injected", **fields}
+
+    def test_every_numerical_error_is_injected(self):
+        from excepta import lattice, retrieval, symmetry  # noqa: F401  (defines the rest of the classes)
+        from excepta.numkernel import NumericalError
+
+        assert {f"{c.__module__}.{c.__name__}" for c in NumericalError.__subclasses__()} == set(OLD_BASES)
+        assert sorted(case[2] for case in NUMERICAL_FAILURES) == sorted([*OLD_BASES, "numpy.linalg.LinAlgError"])
+
+    @pytest.mark.parametrize("error", OLD_BASES, ids=lambda path: path.split(".")[-1])
+    def test_marker_base_keeps_the_old_base(self, error):
+        from excepta.numkernel import NumericalError
+
+        module, _, name = error.rpartition(".")
+        exc = getattr(importlib.import_module(module), name)("injected")
+        assert isinstance(exc, NumericalError)
+        assert isinstance(exc, OLD_BASES[error])
+
+
+# What `import excepta.cli` loads; each handler imports the rest on demand.
+CLI_MODULES = ["excepta", "excepta.cli", "excepta.models", "excepta.numkernel", "excepta.qep"]
+
+
+def excepta_modules(argv: list) -> list:
+    """The excepta modules of a fresh interpreter after `from excepta import cli` and, given argv, cli.main(argv)."""
+    script = (
+        "import json, sys\n"
+        "from excepta import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "rc = cli.main(argv) if argv else 0\n"
+        "print()\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('excepta'))]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True, cwd=REPO)
+    assert res.returncode == 0, res.stderr
+    rc, modules = json.loads(res.stdout.splitlines()[-1])
+    assert rc == 0, res.stderr
+    return modules
+
 
 class TestColdStart:
     # numpy is the only runtime dependency: no library module imports scipy,
@@ -350,6 +477,32 @@ class TestColdStart:
             assert produced, config.stem
             for path in produced:
                 assert path.read_bytes() == (GOLDENS / path.name).read_bytes(), path.name
+
+    def test_import_loads_only_the_shared_modules(self):
+        assert excepta_modules([]) == CLI_MODULES
+
+    @pytest.mark.parametrize(
+        "stem, extra",
+        [
+            ("solve_theoretical", []),
+            ("effective_two_band", []),
+            ("fit_demo", ["excepta.retrieval"]),
+            ("synth_demo", ["excepta.retrieval"]),
+        ],
+    )
+    def test_command_loads_exactly(self, stem, extra, tmp_path):
+        assert excepta_modules(config_argv(stem, tmp_path)) == sorted(CLI_MODULES + extra)
+
+    @pytest.mark.parametrize(
+        "stem, unused",
+        [
+            ("trace_er", ["excepta.lattice", "excepta.retrieval", "excepta.symmetry"]),
+            ("chain_theoretical", ["excepta.lattice", "excepta.retrieval", "excepta.symmetry"]),
+            ("wavepacket_small", ["excepta.retrieval", "excepta.symmetry"]),
+        ],
+    )
+    def test_command_skips_unused_modules(self, stem, unused, tmp_path):
+        assert not set(unused) & set(excepta_modules(config_argv(stem, tmp_path)))
 
     def test_no_scipy_import(self):
         for source in sorted((REPO / "src" / "excepta").glob("*.py")):
