@@ -4,11 +4,11 @@
 
 Exit codes: 0 success, 2 config/validation error or an --out that cannot be
 made a directory, 3 numerical failure, numpy's LinAlgError included
-(diagnostics as JSON on stderr: error, message, and the point/value or
-best/residual the failure carries).  All floats are printed with 12
-significant digits and JSON keys are sorted, so artifacts are stable
-golden files for a fixed seed.  SCHEMAS lists each command's config keys
-with their kinds and defaults.
+(diagnostics as one JSON document on stderr: error, message, the point/value
+or best/residual the failure carries, and any warnings raised before it).
+All floats are printed with 12 significant digits and JSON keys are sorted,
+so artifacts are stable golden files for a fixed seed.  SCHEMAS lists each
+command's config keys with their kinds and defaults.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,17 +317,15 @@ def cmd_sweep(cfg, jobs):
     ramp = cfg["ramp"]
     axis = AXES.index(ramp["param"])
     values = np.linspace(ramp["from"], ramp["to"], max(ramp["n"], 1))
-    base = params.g
-    build = models.builder(params)
+    ramp_points = np.tile(params.g, (len(values), 1))
+    ramp_points[:, axis] = values
     # Sweeps may cross exceptional points (band merging is the interesting
     # feature), so continuation is lenient: per-sample assignment matching
     # without the EP-refusing adaptive refinement used for loop invariants.
     rows = []
     prev = None
-    for v in values:
-        g = base.copy()
-        g[axis] = v
-        w = qep.pf_omegas(qep.solve(build(g)))
+    for v, spectrum in zip(values, qep.solve(models.builder(params)(ramp_points))):
+        w = qep.pf_omegas(spectrum)
         if prev is not None:
             w = w[topology.match_bands(prev, w)]
         prev = w
@@ -655,18 +654,24 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
-        summary = run(args.command, args.config, args.out, args.seed, args.jobs)
+        with warnings.catch_warnings(record=True) as caught:
+            summary = run(args.command, args.config, args.out, args.seed, args.jobs)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
+        code, diagnostic = 2, {"error": "config", "message": str(exc)}
     except (NumericalError, np.linalg.LinAlgError) as exc:
         fields = {k: getattr(exc, k, None) for k in ("point", "value", "best", "residual")}
-        diagnostic = {"error": type(exc).__name__, "message": str(exc)}
+        code, diagnostic = 3, {"error": type(exc).__name__, "message": str(exc)}
         diagnostic.update((k, v) for k, v in fields.items() if v is not None)
-        print(json.dumps(_round_floats(diagnostic)), file=sys.stderr)
-        return 3
-    print(_dump_json(summary), end="")
-    return 0
+    else:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        print(_dump_json(summary), end="")
+        return 0
+    # A failure's stderr is one JSON document, which lists the warnings held back before it.
+    if caught:
+        diagnostic["warnings"] = [str(w.message) for w in caught]
+    print(json.dumps(_round_floats(diagnostic)), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -286,21 +286,26 @@ MODELS = {
 _TABLES = {TheoreticalParams: _theoretical, ExperimentalParams: _experimental, LatticeParams: _lattice}
 
 
+def _built(points, table: Table):
+    return table.qmp(0) if np.ndim(points) == 1 else table
+
+
 def builder(params):
-    """point -> QMP closure at the fixed (non-point) fields of params: the P = 1 view of `coefficients`."""
-    return lambda point: coefficients(params, point).qmp(0)
+    """Closure at the fixed (non-point) fields of params: a (3,) point -> its QMP, the view of a one-point
+    table; a (P, 3) stack -> the `coefficients` table, which `qep.solve` solves in one LAPACK call."""
+    return lambda points: _built(points, coefficients(params, points))
 
 
 def theoretical_builder(m0=1.0, kbar=1.0, dchi=-0.05, delta_k=None):
-    """g -> QMP closure for path/plane sweeps; delta_k breaks the symmetries.
+    """`builder` of the theoretical model, point -> QMP and stack -> Table; delta_k breaks the symmetries.
 
-    delta_k is a table edit (`replace`: its views carry the edited K's H and eigenvalues); the derivatives
-    stay exact."""
+    delta_k is a table edit (`replace`, broadcast over the stack: the table's H and eigenvalues are the
+    edited K's); the derivatives stay exact."""
     params = TheoreticalParams(m0=m0, kbar=kbar, dchi=dchi)
     if delta_k is None:
         return builder(params)
     delta_k = nk.as_matrix(delta_k)
-    return lambda g: replace(t := coefficients(params, g), stiffness=t.stiffness + delta_k).qmp(0)
+    return lambda g: _built(g, replace(t := coefficients(params, g), stiffness=t.stiffness + delta_k))
 
 
 @dataclass(frozen=True)

@@ -164,16 +164,23 @@ def sorted_spectra(w: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
     return w, tuple(ok.tolist())
 
 
-def solve(q: QuadraticMatrixPolynomial) -> Spectrum:
+def solve(q):
     """Eigenfrequencies of the QEP from its companion linearization.
 
     LAPACK's eigenvalues of `linearize(q)` are backward stable (Tisseur and
     Meerbergen, SIAM Review 43, 2001); eigenvectors wait for first access
     to `pairs`.  A view of a `models.Table` reads its row of the table's
     sorted eigenvalue stack and its gap flag, both made for the whole table
-    in one call each on first use; only the `Spectrum` is per point.  Any
-    other QMP sorts and gap-tests its own eigenvalues as a one-row stack.
+    in one call each on first use; only the `Spectrum` is per point.  Of a
+    whole `models.Table` (a stiffness stack): an iterator over its P
+    per-point `Spectrum`s, rows of one `eigvals` call and one `lexsort` made
+    now, each equal bit for bit to solving that point alone and made as it
+    is read, so a caller holds only the rows it keeps.  Any other QMP sorts
+    and gap-tests its own eigenvalues as a one-row stack.
     """
+    if q.stiffness.ndim == 3:
+        rows = zip(q.eigenvalues, q.pf_gap_ok)
+        return (Spectrum(omegas=w, pf_gap_ok=ok, qmp=q.qmp(i)) for i, (w, ok) in enumerate(rows))
     view = getattr(q, "_spectrum", None)
     if view is not None:
         omegas, gap_ok = view()

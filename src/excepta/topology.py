@@ -175,7 +175,8 @@ def match_band_grid(w: np.ndarray) -> np.ndarray:
     return _xor_scan(first, *edges(w[:, :-1], w[:, 1:]))
 
 
-def _min_separation(w: np.ndarray) -> float:
+def min_separation(w: np.ndarray) -> float:
+    """Smallest |w_i - w_j| over pairs of frequencies (inf below two), whatever their order."""
     if len(w) < 2:
         return np.inf
     diff = np.abs(w[:, None] - w[None, :])
@@ -186,20 +187,20 @@ def _min_separation(w: np.ndarray) -> float:
 def track_bands(build, path: ParameterPath) -> TrackedBands:
     """Continue the PF bands along the path, bisecting segments adaptively.
 
-    A segment is accepted once the largest per-band jump is below
-    JUMP_FRACTION of the smaller endpoint band separation; paths passing
-    within MIN_SEPARATION of a degeneracy raise TrackingError with advice
-    to perturb the path.
+    `build` takes a (3,) point to its QMP and a (P, 3) stack to its
+    `models.Table`.  The path's points (a closed path's start again at its
+    end) are solved as one table; midpoints are solved one at a time, as the
+    sequential scan needs them.  A segment is accepted once the largest
+    per-band jump is below JUMP_FRACTION of the smaller endpoint band
+    separation; paths passing within MIN_SEPARATION of a degeneracy raise
+    TrackingError with advice to perturb the path.
     """
-    pts = list(path.points)
-    if path.closed:
-        pts = pts + [path.points[0]]
-
-    out_points = [np.asarray(pts[0], dtype=float)]
-    out_omegas = [pf_omegas(solve(build(pts[0])))]
-
-    for target in pts[1:]:
-        _extend_segment(build, out_points, out_omegas, np.asarray(target, float), 0)
+    pts = np.vstack([path.points, path.points[:1]]) if path.closed else path.points
+    spectra = solve(build(pts))
+    w, sep = _sample(next(spectra))
+    out_points, out_omegas, out_seps = [pts[0]], [w], [sep]
+    for target, spectrum in zip(pts[1:], spectra):
+        _extend_segment(build, out_points, out_omegas, out_seps, target, _sample(spectrum), 0)
 
     omegas = np.array(out_omegas)
     if path.closed:
@@ -211,29 +212,35 @@ def track_bands(build, path: ParameterPath) -> TrackedBands:
     )
 
 
-def _extend_segment(build, out_points, out_omegas, target, depth):
-    """Append `target` (and any needed midpoints) continuing the last sample."""
+def _sample(spectrum: Spectrum) -> tuple[np.ndarray, float]:
+    """PF frequencies of a solved point and their band separation, which does not depend on band order."""
+    w = pf_omegas(spectrum)
+    return w, min_separation(w)
+
+
+def _extend_segment(build, out_points, out_omegas, out_seps, target, sample, depth):
+    """Append `target`, solved as `sample`, (and any needed midpoints) continuing the last sample."""
     prev_pt = out_points[-1]
     prev_w = out_omegas[-1]
-    new_w = pf_omegas(solve(build(target)))
+    new_w, new_sep = sample
     new_w = new_w[match_bands(prev_w, new_w)]
-    sep = min(_min_separation(prev_w), _min_separation(new_w))
+    sep = min(out_seps[-1], new_sep)
     if sep < MIN_SEPARATION:
         raise TrackingError(
             "exceptional point lies on the path (band separation "
             f"{sep:.2e}); perturb the path away from it"
         )
     jump = float(np.abs(new_w - prev_w).max())
-    same_point = bool(np.all(target == prev_pt))
-    if jump > JUMP_FRACTION * sep and not same_point:
+    if jump > JUMP_FRACTION * sep and not np.all(target == prev_pt):  # a repeated point needs no bisection
         if depth >= MAX_BISECTIONS:
             raise TrackingError("refinement exhausted without resolving band jump")
         mid = 0.5 * (prev_pt + target)
-        _extend_segment(build, out_points, out_omegas, mid, depth + 1)
-        _extend_segment(build, out_points, out_omegas, target, depth + 1)
+        _extend_segment(build, out_points, out_omegas, out_seps, mid, _sample(solve(build(mid))), depth + 1)
+        _extend_segment(build, out_points, out_omegas, out_seps, target, sample, depth + 1)
         return
     out_points.append(target)
     out_omegas.append(new_w)
+    out_seps.append(new_sep)
 
 
 def _winding(values: np.ndarray) -> float:
@@ -304,8 +311,8 @@ def arc_invariant(build, arc: ParameterPath) -> float:
     for end in (arc.points[0], arc.points[-1]):
         if max(abs(end[0]), abs(end[2])) > 1e-9:
             raise ValueError("arc endpoints must lie on the gamma = kappa = 0 line")
-    for label, end in (("start", arc.points[0]), ("end", arc.points[-1])):
-        if abs(pf_discriminant(solve(build(end)))) < ARC_ENDPOINT_TOL:
+    for label, end in zip(("start", "end"), solve(build(arc.points[[0, -1]]))):
+        if abs(pf_discriminant(end)) < ARC_ENDPOINT_TOL:
             raise ValueError(f"arc {label}point is degenerate (|discriminant| < {ARC_ENDPOINT_TOL})")
     return 2.0 * _pairwise_winding_sum(track_bands(build, arc))
 

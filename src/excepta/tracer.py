@@ -133,18 +133,15 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
     sep = np.full((n1 + 1, n2 + 1), np.inf)
     delta = np.full((n1 + 1, n2 + 1), np.inf)
     re_delta = np.full((n1 + 1, n2 + 1), np.nan)
-    for i, a in enumerate(avals):
-        for j, b in enumerate(bvals):
-            spectrum = solve(build(plane.point(a, b)))
-            if not spectrum.pf_gap_ok:
-                continue  # gapless node: no PF statistics there
-            w = pf_omegas(spectrum)
-            d = np.abs(w[:, None] - w[None, :])
-            np.fill_diagonal(d, np.inf)
-            sep[i, j] = d.min()
-            disc = topo.pf_discriminant(spectrum)
-            delta[i, j] = abs(disc)
-            re_delta[i, j] = disc.real
+    # The grid as one table, row-major in (a, b); each node is plane.point(a, b) bit for bit.
+    a, b = (x.reshape(-1, 1) for x in np.meshgrid(avals, bvals, indexing="ij"))
+    for (i, j), spectrum in zip(np.ndindex(sep.shape), solve(build(plane.origin + a * plane.u + b * plane.v))):
+        if not spectrum.pf_gap_ok:
+            continue  # gapless node: no PF statistics there
+        sep[i, j] = topo.min_separation(pf_omegas(spectrum))
+        disc = topo.pf_discriminant(spectrum)
+        delta[i, j] = abs(disc)
+        re_delta[i, j] = disc.real
     finite = np.isfinite(sep)
     if not np.any(finite):
         return []

@@ -302,9 +302,20 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"command": "solve", "model": model, "output": "x"}))
         res = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert res.returncode == 3, res.stderr
-        err = json.loads(res.stderr.splitlines()[-1])
+        err = json.loads(res.stderr)  # the whole of stderr: numpy's warnings are inside it
         assert err["error"] == "LinAlgError"
         assert err["message"]
+        assert err["warnings"] == ["invalid value encountered in multiply"]
+
+    def test_warnings_of_a_successful_run_still_print(self):
+        # A run that warns and succeeds: the warning is printed as Python prints it, then the summary.
+        script = ("import sys, warnings; from excepta import cli; "
+                  "cli.run = lambda *args: warnings.warn('overflow in a sample', RuntimeWarning) or {'ok': 1}; "
+                  "sys.exit(cli.main(['solve', '--config', 'unused.json']))")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=REPO)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"ok": 1}
+        assert "RuntimeWarning: overflow in a sample" in res.stderr
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_unusable_out_exit_2(self, out, tmp_path):
