@@ -270,7 +270,11 @@ def energy_vorticity(tb: TrackedBands, m: int = 0, n: int = 1) -> float:
 
 def pf_discriminant(spectrum: Spectrum) -> complex:
     """Product of squared PF band differences (order-independent)."""
-    w = pf_omegas(spectrum)
+    return discriminant(pf_omegas(spectrum))
+
+
+def discriminant(w: np.ndarray) -> complex:
+    """Product of squared differences of the frequencies w (order-independent)."""
     acc = 1.0 + 0.0j
     for i in range(len(w)):
         for j in range(i + 1, len(w)):

@@ -1,10 +1,11 @@
 """Locate exceptional points, trace exceptional lines, assemble chains.
 
 The zero set of the PF discriminant is a family of curves (exceptional
-lines).  On a symmetry plane the discriminant is real there, so the
-in-plane zero set is a codimension-1 curve reached by a pseudo-inverse
-Newton iteration; off the planes both real components vanish only on the
-lines themselves.  Chain points are junctions where lines from different
+lines).  On a symmetry plane the discriminant is real, so the in-plane
+zero set is a codimension-1 curve; off the planes both real components
+vanish only on the lines themselves.  Seeds are refined by a pseudo-inverse
+Newton iteration and lines followed by pseudo-arclength continuation.
+Chain points are junctions where lines from different
 planes touch; they are found by proximity of traced polylines and refined
 along the high-symmetry intersection line.
 """
@@ -20,10 +21,10 @@ from .numkernel import NumericalError
 from .qep import VERTEX_TOL, SpectralGapError, pair_gradient, pf_omegas, solve
 from .topology import circle_path, discriminant_number
 
-# Newton iterations of one refine_ep or newton_on_line call, and the
-# steepest-descent step used when the Newton step vanishes.
+# Newton iterations of one refine_ep or newton_on_line call, and of one
+# arclength corrector in trace_el.
 REFINE_MAX_ITER = 60
-REFINE_STEP_FLOOR = 1e-10
+CORRECTOR_MAX_ITER = 8
 # Components of the exact gradient of D+ below this fraction of its norm are
 # treated as zero: a component that vanishes by symmetry is rounding noise
 # about eps times the norm, far below it.
@@ -45,7 +46,7 @@ class DuplicateLineError(ValueError):
 
 
 class RefineError(RuntimeError, NumericalError):
-    """Newton + fallback failed to reach the discriminant zero set."""
+    """Newton failed to reach the discriminant zero set."""
 
     def __init__(self, message, point=None, value=None):
         super().__init__(message)
@@ -138,8 +139,9 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
     for (i, j), spectrum in zip(np.ndindex(sep.shape), solve(build(plane.origin + a * plane.u + b * plane.v))):
         if not spectrum.pf_gap_ok:
             continue  # gapless node: no PF statistics there
-        sep[i, j] = topo.min_separation(pf_omegas(spectrum))
-        disc = topo.pf_discriminant(spectrum)
+        w = pf_omegas(spectrum)
+        sep[i, j] = topo.min_separation(w)
+        disc = topo.discriminant(w)
         delta[i, j] = abs(disc)
         re_delta[i, j] = disc.real
     finite = np.isfinite(sep)
@@ -147,41 +149,31 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
         return []
     sep_thresh = 0.05 * np.median(sep[finite])
     delta_med = np.median(delta[finite])
-    delta_small = 0.5 * delta_med
 
-    local_min = np.ones_like(delta, dtype=bool)
-    for shift_ax, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        rolled = np.roll(delta, shift, axis=shift_ax)
-        if shift == 1:
-            rolled[(0,) if shift_ax == 0 else (slice(None), 0)] = np.inf
-        else:
-            rolled[(-1,) if shift_ax == 0 else (slice(None), -1)] = np.inf
-        local_min &= delta <= rolled
+    # A local minimum is at most each of its 4 neighbours; outside the grid counts as inf.
+    pad = np.pad(delta, 1, constant_values=np.inf)
+    local_min = (delta <= pad[:-2, 1:-1]) & (delta <= pad[2:, 1:-1])
+    local_min &= (delta <= pad[1:-1, :-2]) & (delta <= pad[1:-1, 2:])
     hot = (sep < sep_thresh) | (local_min & (delta < 1e-3 * delta_med))
 
-    cells = []
-    for i in range(n1):
-        for j in range(n2):
-            corner_hot = hot[i : i + 2, j : j + 2]
-            block = delta[i : i + 2, j : j + 2]
-            # On a symmetry plane the discriminant is real, so a corner sign
-            # change pins a zero crossing inside the cell regardless of how
-            # coarse the grid is.  The smallness filter keeps distant phase
-            # boundaries of other band pairs from triggering.
-            signs = np.sign(re_delta[i : i + 2, j : j + 2])
-            sign_change = np.isfinite(block).all() and signs.max() > 0 > signs.min()
-            if np.any(corner_hot) or (sign_change and block.min() < delta_small):
-                cells.append(
-                    CandidateCell(
-                        index=(i, j),
-                        center=plane.point(
-                            0.5 * (avals[i] + avals[i + 1]), 0.5 * (bvals[j] + bvals[j + 1])
-                        ),
-                        min_delta=float(block.min()),
-                        min_separation=float(sep[i : i + 2, j : j + 2].min()),
-                    )
-                )
-    return cells
+    def blocks(field, reduce):
+        """`reduce` over each cell's 2 x 2 corners, as an (n1, n2) array."""
+        return reduce.reduce([field[:-1, :-1], field[1:, :-1], field[:-1, 1:], field[1:, 1:]])
+
+    # On a symmetry plane the discriminant is real, so a corner sign change
+    # pins a zero crossing inside the cell regardless of how coarse the grid
+    # is.  The smallness filter keeps distant phase boundaries of other band
+    # pairs from triggering.
+    signs, block_delta, block_sep = np.sign(re_delta), blocks(delta, np.minimum), blocks(sep, np.minimum)
+    sign_change = (blocks(signs, np.maximum) > 0) & (blocks(signs, np.minimum) < 0)
+    sign_change &= blocks(np.isfinite(delta), np.logical_and) & (block_delta < 0.5 * delta_med)
+    return [
+        CandidateCell(
+            (i, j), plane.point(0.5 * (avals[i] + avals[i + 1]), 0.5 * (bvals[j] + bvals[j + 1])),
+            float(block_delta[i, j]), float(block_sep[i, j]),
+        )
+        for i, j in np.argwhere(blocks(hot, np.logical_or) | sign_change).tolist()
+    ]
 
 
 def _solve_at(build, point):
@@ -206,17 +198,16 @@ def refine_ep(
     build,
     seed,
     plane: PlaneSpec | None = None,
-    delta_tol: float = 1e-12,
     check_coalescence: bool = True,
 ) -> np.ndarray:
-    """Damped Newton root-solve of (Re D+, Im D+) = 0 from a candidate seed.
+    """Damped Newton root-solve of (Re D+, Im D+) = 0, to |D+| < 1e-12, from a candidate seed.
 
     The Jacobian at each iterate is the exact pair gradient of D+
     (`qep.pair_gradient`) at the spectrum already solved there, so one
     Newton step costs the solves of its damping trials and nothing more.
     In-plane the second component vanishes identically, so the
     pseudo-inverse step lands on the nearest point of the zero curve.
-    Stagnating Newton falls back to steepest descent of |D+|^2.  With
+    When no damping trial lowers |D+| it raises RefineError (stalled).  With
     check_coalescence the converged PF pair must be among the final
     spectrum's `ep_clusters`, which separates exceptional from diabolic
     degeneracies.  The builder's QMPs must carry point derivatives
@@ -244,7 +235,7 @@ def refine_ep(
     if not np.isfinite(current):
         raise RefineError("seed lies outside the line-gapped region", point=seed)
     for _ in range(REFINE_MAX_ITER):
-        if current < delta_tol:
+        if current < 1e-12:
             break
         f0 = np.array([d.real, d.imag])
         grad = _gradient(spectrum) @ basis
@@ -254,32 +245,15 @@ def refine_ep(
         # only Re D+ = 0 and lands on the nearest point of the zero curve
         # instead of following the noise.
         step = -np.linalg.pinv(jac, rcond=GRADIENT_RTOL) @ f0
-        accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
             trial = x + damp * step
             evaluated = evaluate(trial)
             if evaluated[0] < current:
                 x, (current, d, spectrum) = trial, evaluated
-                accepted = True
                 break
-        if not accepted:
-            # Steepest descent of |D|^2 along -J^T f, bisected.
-            direction = -jac.T @ f0
-            norm = np.linalg.norm(direction)
-            if norm == 0:
-                break
-            direction /= norm
-            scale = np.linalg.norm(step) or REFINE_STEP_FLOOR
-            for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32):
-                trial = x + damp * scale * direction
-                evaluated = evaluate(trial)
-                if evaluated[0] < current:
-                    x, (current, d, spectrum) = trial, evaluated
-                    accepted = True
-                    break
-            if not accepted:
-                break
-    if current >= delta_tol:
+        else:
+            break
+    if current >= 1e-12:
         raise RefineError(
             f"EP refinement stalled at |D+| = {current:.3e}", point=to_point(x), value=current
         )
@@ -311,9 +285,7 @@ class ExceptionalLine:
 
     def tangent_at(self, idx: int) -> np.ndarray:
         pts = self.polyline
-        lo = max(0, idx - 1)
-        hi = min(len(pts) - 1, idx + 1)
-        t = pts[hi] - pts[lo]
+        t = pts[min(len(pts) - 1, idx + 1)] - pts[max(0, idx - 1)]
         return t / np.linalg.norm(t)
 
 
@@ -388,6 +360,43 @@ def _segment_point_distance(a, b, p) -> float:
     return float(np.linalg.norm(a + t * ab - p))
 
 
+def _arclength_correct(build, center, predictor, radius, basis) -> np.ndarray:
+    """The zero-set point at distance `radius` from `center`, by Newton from `predictor`.
+
+    Newton on F = (Re D+, Im D+, |x - center|^2 - radius^2) over the columns
+    of `basis`, one solve and one exact pair gradient per iteration, until a
+    solve gives |D+| < VERTEX_TOL * 1e-2 with |x - center| equal to `radius`
+    to 5e-7.
+    Raises RefineError when the line gap closes, the step is singular or
+    not finite, or CORRECTOR_MAX_ITER iterations pass.
+    """
+    x = predictor
+    for _ in range(CORRECTOR_MAX_ITER):
+        spectrum = _solve_at(build, x)
+        try:
+            d = topo.pf_discriminant(spectrum)
+        except SpectralGapError as exc:
+            raise RefineError(f"the corrector left the line-gapped region at {x}", point=x) from exc
+        offset = x - center
+        sphere = offset @ offset - radius * radius
+        if abs(d) < VERTEX_TOL * 1e-2 and abs(sphere) < 1e-6 * radius * radius:
+            return x
+        grad = _gradient(spectrum) @ basis
+        rows, values = [grad.real, grad.imag, 2.0 * offset @ basis], [-d.real, -d.imag, -sphere]
+        # On a symmetry plane Im D+ vanishes identically and its gradient row
+        # is rounding noise (the GRADIENT_RTOL cutoff of refine_ep): dropping
+        # it leaves the square system of Re D+ and the sphere.
+        if np.linalg.norm(grad.imag) <= GRADIENT_RTOL * np.linalg.norm(grad):
+            del rows[1], values[1]
+        try:
+            x = x + basis @ np.linalg.solve(np.array(rows), values)
+        except np.linalg.LinAlgError as exc:
+            raise RefineError(f"singular corrector step at {x}", point=x, value=abs(d)) from exc
+        if not np.all(np.isfinite(x)):
+            raise RefineError("non-finite corrector step", point=x, value=abs(d))
+    raise RefineError(f"the corrector did not converge in {CORRECTOR_MAX_ITER} iterations", point=x, value=abs(d))
+
+
 def trace_el(
     build,
     start,
@@ -399,58 +408,53 @@ def trace_el(
 
     Stops on loop closure (a new segment passing the start point) or when
     leaving the axis-aligned `window` (lo, hi).  Open traces run both
-    directions from the start and are concatenated.  The launch tangent is
-    the null direction of the exact Jacobian at the refined start, every
-    vertex is corrector-refined to |D+| < VERTEX_TOL by `refine_ep`'s
-    Newton, and `_orient` orients the line from the pair gradient at one
-    vertex (probe loops of radius 3 * step only as its fallback).
+    directions from the start and are concatenated.  `refine_ep` refines the
+    seed, where the exact Jacobian's null direction launches the march.  The
+    predictor follows the launch tangent, then the secant, and from four
+    vertices on the equal-spacing cubic; `_arclength_correct` puts each
+    vertex on the zero set (|D+| < VERTEX_TOL * 1e-2) exactly `step` from
+    the last, and the step halves (up to 7 times) only when it fails.
+    `_orient` orients the line from the pair gradient at one vertex (probe
+    loops of radius 3 * step only as its fallback).
     """
     start = refine_ep(build, start, plane=plane, check_coalescence=False)
     launch = _tangent_from_jacobian(build, start, plane)
+    basis = _basis(plane)
 
     def march(direction_sign):
         pts = [start]
-        # Jacobian tangent to launch, secant tangents while marching; the
-        # corrector keeps the polyline on the zero set either way.
-        tangent = launch * direction_sign
         for _ in range(TRACE_MAX_STEPS):
             current = pts[-1]
+            # The launch tangent, then the secant, then the equal-spacing
+            # cubic through the last four vertices.
+            if len(pts) == 1:
+                direction = launch * direction_sign
+            else:
+                direction = 3 * current - 6 * pts[-2] + 4 * pts[-3] - pts[-4] if len(pts) > 3 else current - pts[-2]
+                direction = direction / np.linalg.norm(direction)
             local_step = step
             for _ in range(7):
-                predictor = current + local_step * tangent
                 try:
-                    corrected = refine_ep(
-                        build, predictor, plane=plane, delta_tol=VERTEX_TOL * 1e-2,
-                        check_coalescence=False,
-                    )
-                    if np.linalg.norm(corrected - current) > 1e-3 * step:
-                        break
+                    corrected = _arclength_correct(build, current, current + local_step * direction, local_step, basis)
+                    break
                 except RefineError:
-                    pass
-                local_step *= 0.5
+                    local_step *= 0.5
             else:
                 return pts, False
             if not _in_window(corrected, window):
                 return pts, False
-            new_tangent = corrected - current
-            new_tangent = new_tangent / np.linalg.norm(new_tangent)
-            if np.dot(new_tangent, tangent) < 0:
-                new_tangent = -new_tangent
             closing = len(pts) > 8 and _segment_point_distance(current, corrected, start) < 0.6 * step
             pts.append(corrected)
-            tangent = new_tangent
             if closing:
                 return pts, True
         return pts, False
 
     forward, closed = march(+1.0)
     if closed:
-        polyline = np.array(forward[:-1]) if np.linalg.norm(forward[-1] - start) < 0.5 * step else np.array(forward)
-        line = ExceptionalLine(polyline=polyline, closed=True, plane_tag=plane.tag if plane else "free")
+        polyline = forward[:-1] if np.linalg.norm(forward[-1] - start) < 0.5 * step else forward
     else:
-        backward, _ = march(-1.0)
-        polyline = np.array(backward[::-1] + forward[1:])
-        line = ExceptionalLine(polyline=polyline, closed=False, plane_tag=plane.tag if plane else "free")
+        polyline = march(-1.0)[0][::-1] + forward[1:]
+    line = ExceptionalLine(polyline=np.array(polyline), closed=closed, plane_tag=plane.tag if plane else "free")
     return _orient(build, line, 3.0 * step)
 
 
@@ -539,16 +543,10 @@ def _split_polyline(line: ExceptionalLine, hits: list[tuple[int, np.ndarray]]) -
     hits = sorted(hits, key=lambda h: h[0])
     pieces = []
     if line.closed:
-        order = [h[0] for h in hits]
-        ids = [h[1] for h in hits]
-        for a in range(len(hits)):
-            b = (a + 1) % len(hits)
-            ia, ib = order[a], order[b]
-            if b == 0:
-                seg = np.vstack([pts[ia:], pts[: ib + 1]])
-            else:
-                seg = pts[ia : ib + 1]
-            pieces.append((seg, ids[a], ids[b]))
+        # Piece a runs from hit a to hit a + 1; the last one wraps past the start.
+        for a, ((ia, node_a), (ib, node_b)) in enumerate(zip(hits, hits[1:] + hits[:1])):
+            seg = pts[ia : ib + 1] if a + 1 < len(hits) else np.vstack([pts[ia:], pts[: ib + 1]])
+            pieces.append((seg, node_a, node_b))
     else:
         prev_idx, prev_node = 0, None
         for idx, node in hits:
@@ -642,11 +640,8 @@ def assemble_chain(
                 pts[0] = nodes[start_node]
             if end_node is not None:
                 pts[-1] = nodes[end_node]
-            sub = ExceptionalLine(
-                polyline=pts,
-                closed=line.closed and start_node is None and end_node is None,
-                plane_tag=line.plane_tag,
-            )
+            closed = line.closed and start_node is None and end_node is None
+            sub = ExceptionalLine(polyline=pts, closed=closed, plane_tag=line.plane_tag)
             sub = _orient(build, sub, 3.0 * median_step)
             graph_edges.append(GraphEdge(line=sub, start_node=start_node, end_node=end_node))
 

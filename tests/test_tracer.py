@@ -95,7 +95,7 @@ class TestRefineEP:
             if pf_pair not in spectrum.ep_clusters:
                 missed.append(v)
             tracer.refine_ep(build, v, plane=tracer.plane_gamma0(), check_coalescence=True)
-        assert len(vertices) == 50
+        assert len(vertices) == 48
         assert missed == []
 
     def test_experimental_oblique_plane_matches_dense_sweep(self):

@@ -87,3 +87,24 @@ def test_exceptional_pass_builds_once_per_solve(solves, theoretical_build, monke
     calls(build)
     assert builds[0] == points[0]
     assert solved <= points[0]
+
+
+def test_traced_lines_solve_and_differentiate_little_per_vertex(solves, theoretical_build, monkeypatch):
+    # The three lines of configs/chain_theoretical.json at its step.  The
+    # arclength corrector makes most vertices in one Newton step: the
+    # predictor's solve, one pair gradient and the corrected point's solve.
+    gradients = [0]
+    pair_gradient = tracer.pair_gradient
+
+    def counted(*args):
+        gradients[0] += 1
+        return pair_gradient(*args)
+
+    monkeypatch.setattr(tracer, "pair_gradient", counted)
+    window = (np.array([-0.3, -0.25, -0.2]), np.array([0.3, 0.3, 0.2]))
+    traces = ((tracer.plane_gamma0(), (0.0, 0.049, 0.004)), (tracer.plane_kappa0(), (0.2, -0.056, 0.0)),
+              (tracer.plane_kappa0(), (0.2, 0.106, 0.0)))
+    vertices = sum(len(tracer.trace_el(theoretical_build, seed, 0.006, window, plane=plane).polyline)
+                   for plane, seed in traces)
+    assert solves[0] <= 2.4 * vertices
+    assert gradients[0] <= 1.4 * vertices
