@@ -316,7 +316,9 @@ def cmd_sweep(cfg, jobs):
     _, params = cfg["model"]
     ramp = cfg["ramp"]
     axis = AXES.index(ramp["param"])
-    values = np.linspace(ramp["from"], ramp["to"], max(ramp["n"], 1))
+    if ramp["n"] < 1:
+        raise ConfigError("field 'n' of 'ramp' must be at least 1")
+    values = np.linspace(ramp["from"], ramp["to"], ramp["n"])
     ramp_points = np.tile(params.g, (len(values), 1))
     ramp_points[:, axis] = values
     # Sweeps may cross exceptional points (band merging is the interesting
@@ -481,7 +483,7 @@ def cmd_symmetry_check(cfg, jobs):
             elif rel_name == "kappa-sub":
                 g[2] = gamma0 * g[0] / (2.0 * m0)
         samples.append((omega, g))
-    res = symmetry.relation_residual(models.builder(params), rel, samples)
+    res = _built("'n_samples'", symmetry.relation_residual, models.builder(params), rel, samples)
     payload = {"relation": rel_name, "residual": res, "n_samples": n}
     return payload, [(cfg["output"] + ".json", _dump_json(payload))]
 
@@ -501,7 +503,8 @@ def cmd_latent_check(cfg, jobs):
         g[2] = params.gamma0 * g[0] / (2.0 * params.m0)
         h = qep.linearize(models.experimental_shifted_qmp(params.at(g)))
         h_mapped = h
-    res = symmetry.theorem2_crosscheck(h_mapped, h, models.SIGMA_X, symmetry.velocity_block(2), n_max=cfg["n_max"])
+    res = _built("'n_max'", symmetry.theorem2_crosscheck, h_mapped, h, models.SIGMA_X, symmetry.velocity_block(2),
+                 n_max=cfg["n_max"])
     payload = {
         "latent_residual": res.latent,
         "reduction_residual": res.reduction,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .models import LatticeParams, builder, coefficients
 from .numkernel import NumericalError
-from .qep import csv_text, has_frequency_cluster, pf_bands, pf_omegas, simple_vectors, solve
+from .qep import close_neighbours, csv_text, pf_bands, pf_omegas, simple_vectors, solve
 from .topology import match_band_grid
 from .tracer import newton_on_line
 
@@ -54,11 +54,11 @@ def chain_point_coords(p: LatticeParams) -> np.ndarray:
 class BandField:
     """PF bands tracked over a fixed-ky (kx, kz) grid.
 
-    `bad_cells` marks grid nodes whose spectrum has a frequency cluster
-    (`qep.frequency_clusters`), where band identity is ambiguous: EL
-    punctures of the slice.  `vectors`, the (nx, nz, 2, 2) right
-    eigenvectors (band, component), is made by `_vectors()` on first access,
-    so frequency-only callers never compute it.
+    `bad_cells` marks grid nodes whose sorted spectrum has a frequency
+    cluster (a pair of `qep.close_neighbours`), where band identity is
+    ambiguous: EL punctures of the slice.  `vectors`, the (nx, nz, 2, 2)
+    right eigenvectors (band, component), is made by `_vectors()` on first
+    access, so frequency-only callers never compute it.
     """
 
     kx: np.ndarray
@@ -103,7 +103,7 @@ def band_slice(
     table = coefficients(p, np.stack([kx, np.full_like(kx, ky), kz], axis=-1))
     pf = np.empty((nx * nz, 2), dtype=complex)
     clustered = {}  # cell -> spectrum
-    for k, cluster in enumerate(has_frequency_cluster(table.eigenvalues).tolist()):
+    for k, cluster in enumerate(close_neighbours(table.eigenvalues).any(-1).tolist()):
         spectrum = solve(table.qmp(k))
         pf[k] = pf_omegas(spectrum)
         if cluster:

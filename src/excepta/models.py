@@ -15,14 +15,13 @@ Also here: the quasi-degenerate two-band reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import numkernel as nk
-from .qep import QuadraticMatrixPolynomial, companion_eigenvalues, linearize, sorted_spectra
+from .qep import QuadraticMatrixPolynomial, Table
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -106,62 +105,6 @@ class LatticeParams:
         for name in ("kx", "ky", "kz"):
             if abs(getattr(self, name)) > np.pi + 1e-9:
                 raise ValueError(f"{name} outside the first Brillouin zone")
-
-
-@dataclass(frozen=True)
-class Table:
-    """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N).
-
-    `derive()` returns the derivatives of K and G along the point coordinates,
-    `dstiffness` and `ddamping`, each (P, 3, N, N).  They, `companion` (the
-    stack linearize(table)), `eigenvalues` (its eigenvalues, one LAPACK call
-    for the stack, each row sorted by (Re, Im)) and `pf_gap_ok` (each row's
-    gap flag, beside them from `qep.sorted_spectra`) are each made once, on
-    first use; the arrays are read-only.
-    """
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-    damping: np.ndarray
-    derive: Callable = field(repr=False, compare=False)
-
-    @cached_property
-    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.derive()
-
-    @property
-    def dstiffness(self) -> np.ndarray:
-        return self.derivatives[0]
-
-    @property
-    def ddamping(self) -> np.ndarray:
-        return self.derivatives[1]
-
-    @cached_property
-    def companion(self) -> np.ndarray:
-        h = linearize(self)
-        h.flags.writeable = False
-        return h
-
-    @cached_property
-    def _spectra(self) -> tuple[np.ndarray, tuple[bool, ...]]:
-        w, ok = sorted_spectra(companion_eigenvalues(self.companion))
-        w.flags.writeable = False
-        return w, ok
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._spectra[0]
-
-    @property
-    def pf_gap_ok(self) -> tuple[bool, ...]:
-        return self._spectra[1]
-
-    def qmp(self, i: int) -> QuadraticMatrixPolynomial:
-        """The QMP at point i: a view of the stack whose derivatives, H, eigenvalues and gap flag are the table's."""
-        return QuadraticMatrixPolynomial._from_table(
-            self.mass, self.stiffness[i], self.damping[i], lambda: (self.dstiffness[i], self.ddamping[i]),
-            lambda: self.companion[i], lambda: (self.eigenvalues[i], self.pf_gap_ok[i]))
 
 
 def _matrices(n: int, *entries) -> np.ndarray:

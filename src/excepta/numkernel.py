@@ -6,7 +6,7 @@ matching, by enumeration up to MAX_ASSIGNMENT entries.
 to fixing them one at a time.
 
 There is no dense eigendecomposition or linear solve here: eigenvalues come
-from LAPACK in `qep.companion_eigenvalues`, one call per coefficient table.
+from one LAPACK `eigvals` call per coefficient table (`qep.Table`).
 Everything in this module is deterministic: fixed initial guesses, fixed
 iteration order, no randomness.  Identical inputs give bit-identical
 outputs, which the golden-file tests rely on.
@@ -173,17 +173,6 @@ def gauge_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     # np.hypot rounds like the scalar abs(); np.abs on an array does not always.
     phase = lead / np.hypot(lead.real, lead.imag)
     return v * phase.conjugate()
-
-
-def cluster_indices(values: list, tol: float) -> list[list[int]]:
-    """Group already-sorted values (Python numbers, from `tolist`) into runs of neighbours closer than tol."""
-    clusters: list[list[int]] = []
-    for i, v in enumerate(values):
-        if clusters and abs(v - values[i - 1]) < tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
 
 
 # `topology.match_band_grid` repeats this function's two-band arithmetic on whole arrays and must round

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,17 +36,15 @@ class SpectralGapError(RuntimeError, nk.NumericalError):
 class QuadraticMatrixPolynomial:
     """Coefficient triple (mass, stiffness, damping), all N x N, mass nonsingular.
 
-    `derivatives`, when a model sets it, is a zero-argument callable
-    returning (dK, dG), each (P, N, N): the derivatives of K and G along the
-    P coordinates of the point the QMP was built at (M is constant).  A
-    model's QMPs are views of its validated table (`models.coefficients`)
-    that carry its H, its sorted eigenvalues and its gap flags.
+    Every QMP is row `row` of its coefficient `table`, which makes its H, sorted eigenvalues, gap
+    flag and point derivatives.  A model's QMPs are views of its validated table (`Table.qmp`); the
+    public constructor, and so `dataclasses.replace`, validates its arrays and gives them their own
+    one-row table, without derivatives.
     """
 
     mass: np.ndarray
     stiffness: np.ndarray
     damping: np.ndarray
-    derivatives: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = nk.as_matrix(self.mass)
@@ -56,20 +55,61 @@ class QuadraticMatrixPolynomial:
         s = np.linalg.svd(m, compute_uv=False)
         if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
             raise ValueError("mass matrix is singular")
-        self.__dict__.update(mass=m, stiffness=k, damping=g)  # frozen: bypass __setattr__
-
-    @classmethod
-    def _from_table(cls, mass, stiffness, damping, derivatives, h, spectrum) -> "QuadraticMatrixPolynomial":
-        """A QMP of validated arrays, taken as they are; `h()` gives its read-only H and `spectrum()` its
-        read-only sorted eigenvalues and gap flag (not fields, so `dataclasses.replace` drops them)."""
-        q = object.__new__(cls)
-        q.__dict__.update(mass=mass, stiffness=stiffness, damping=damping, derivatives=derivatives, _companion=h,
-                          _spectrum=spectrum)
-        return q
+        self.__dict__.update(mass=m, stiffness=k, damping=g, table=Table(m, k[None], g[None]), row=0)  # frozen
 
     @property
     def dim(self) -> int:
         return self.mass.shape[0]
+
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dK, dG), each (3, N, N): the derivatives of K and G along the point coordinates, the table's row."""
+        dk, dg = self.table.derivatives
+        return dk[self.row], dg[self.row]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One model over P points: mass (N, N) shared, stiffness and damping (P, N, N).
+
+    Each made once, on first use, and read-only: `derivatives`, `derive()`'s (dK, dG) along the 3 point
+    coordinates, each (P, 3, N, N); `companion`, the stack linearize(table); `eigenvalues`, its eigenvalues
+    from one LAPACK call, each row sorted by (Re, Im), and `pf_gap_ok`, each row's gap flag (`sorted_spectra`).
+    """
+
+    mass: np.ndarray
+    stiffness: np.ndarray
+    damping: np.ndarray
+    derive: Callable | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.derive()
+
+    @cached_property
+    def companion(self) -> np.ndarray:
+        h = linearize(self)
+        h.flags.writeable = False
+        return h
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, tuple[bool, ...]]:
+        w, ok = sorted_spectra(np.linalg.eigvals(self.companion))
+        w.flags.writeable = False
+        return w, ok
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectra[0]
+
+    @property
+    def pf_gap_ok(self) -> tuple[bool, ...]:
+        return self._spectra[1]
+
+    def qmp(self, i: int) -> QuadraticMatrixPolynomial:
+        """The QMP at point i: a view of the stack that stores only its arrays, this table and i."""
+        q = object.__new__(QuadraticMatrixPolynomial)
+        q.__dict__.update(mass=self.mass, stiffness=self.stiffness[i], damping=self.damping[i], table=self, row=i)
+        return q
 
 
 @dataclass(frozen=True)
@@ -115,23 +155,17 @@ def linearize(q) -> np.ndarray:
 
     Eigenvalues of H are the QEP eigenfrequencies; eigenvectors stack as
     (psi, -i w psi).  For real M, K, G it satisfies H* = -H entrywise.
-    Of a `models.Table`: the (P, 2N, 2N) stack, equal bit for bit per point; of its view: the table's H.
+    Of a `Table`: the (P, 2N, 2N) stack from one stacked solve over the shared mass, equal bit for
+    bit per point.  Of a QMP: its row of its table's read-only `companion`, so only tables run this.
     """
-    companion = getattr(q, "_companion", None)
-    if companion is not None:
-        return companion()
+    if isinstance(q, QuadraticMatrixPolynomial):
+        return q.table.companion[q.row]
     n = q.mass.shape[0]
     h = np.zeros(q.stiffness.shape[:-2] + (2 * n, 2 * n), dtype=complex)
     h[..., :n, n:] = np.eye(n)
     h[..., n:, :n], h[..., n:, n:] = q.stiffness, q.damping
     np.negative(np.linalg.solve(q.mass, h[..., n:, :]), out=h[..., n:, :])
     return np.multiply(h, 1j, out=h)
-
-
-def companion_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of a companion matrix H, or of a (P, 2N, 2N) stack in one LAPACK call,
-    equal bit for bit to one call per matrix: the QEP eigenfrequencies."""
-    return np.linalg.eigvals(h)
 
 
 def _pf_gap_ok(omegas: np.ndarray) -> bool:
@@ -147,11 +181,13 @@ def _pf_gap_ok(omegas: np.ndarray) -> bool:
 def sorted_spectra(w: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
     """The rows of a (P, 2N) eigenvalue stack sorted by (Re, Im), and each row's gap flag.
 
-    Equal bit for bit to sorting each row alone and testing it with `_pf_gap_ok`.  One row keeps
-    that Python rule, which costs less than numpy's fixed overhead there; a larger stack is sorted by
-    one lexsort along its last axis and gap-tested column by column, summing |w| left to right and
-    taking |w| by np.hypot, as the Python rule does.
+    Equal bit for bit to sorting each row alone and testing it with `_pf_gap_ok`: a stack of several
+    rows is sorted by one lexsort along its last axis and gap-tested column by column, summing |w|
+    left to right and taking |w| by np.hypot, as the Python rule does.
     """
+    # One row keeps the Python rule: on a 4-frequency row it costs about 4 us a call against 24 us for
+    # the stacked path, and `exceptional` solves 640 one-point tables a pass (Newton steps, bisection
+    # midpoints), while `needle` solves 4,096-row tables.
     if len(w) == 1:
         row = w[0]
         row = row[np.lexsort((row.imag, row.real))]
@@ -167,27 +203,19 @@ def sorted_spectra(w: np.ndarray) -> tuple[np.ndarray, tuple[bool, ...]]:
 def solve(q):
     """Eigenfrequencies of the QEP from its companion linearization.
 
-    LAPACK's eigenvalues of `linearize(q)` are backward stable (Tisseur and
+    LAPACK's eigenvalues of `linearize` are backward stable (Tisseur and
     Meerbergen, SIAM Review 43, 2001); eigenvectors wait for first access
-    to `pairs`.  A view of a `models.Table` reads its row of the table's
-    sorted eigenvalue stack and its gap flag, both made for the whole table
-    in one call each on first use; only the `Spectrum` is per point.  Of a
-    whole `models.Table` (a stiffness stack): an iterator over its P
-    per-point `Spectrum`s, rows of one `eigvals` call and one `lexsort` made
-    now, each equal bit for bit to solving that point alone and made as it
-    is read, so a caller holds only the rows it keeps.  Any other QMP sorts
-    and gap-tests its own eigenvalues as a one-row stack.
+    to `pairs`.  Of a QMP: a `Spectrum` of its row of its table's sorted
+    eigenvalue stack and its gap flag, both made for the whole table in one
+    call each on first use.  Of a `Table`: an iterator over its P per-point
+    `Spectrum`s, rows of one `eigvals` call and one `lexsort` made now, each
+    equal bit for bit to solving that point alone and made as it is read, so
+    a caller holds only the rows it keeps.
     """
-    if q.stiffness.ndim == 3:
+    if isinstance(q, Table):
         rows = zip(q.eigenvalues, q.pf_gap_ok)
         return (Spectrum(omegas=w, pf_gap_ok=ok, qmp=q.qmp(i)) for i, (w, ok) in enumerate(rows))
-    view = getattr(q, "_spectrum", None)
-    if view is not None:
-        omegas, gap_ok = view()
-    else:
-        w, ok = sorted_spectra(companion_eigenvalues(linearize(q))[None])
-        omegas, gap_ok = w[0], ok[0]
-    return Spectrum(omegas=omegas, pf_gap_ok=gap_ok, qmp=q)
+    return Spectrum(omegas=q.table.eigenvalues[q.row], pf_gap_ok=q.table.pf_gap_ok[q.row], qmp=q)
 
 
 def _coefficient_scale(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> float:
@@ -230,21 +258,13 @@ def exceptional_pairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple
     return tuple(pairs)
 
 
-def frequency_clusters(omegas: np.ndarray) -> list[list[int]]:
-    """Index groups of sorted eigenfrequencies closer than EP_OMEGA_RTOL * max(1, max|w|).
-
-    Frequencies this close share one nullspace SVD for their eigenvectors.
-    """
-    w = omegas.tolist()
-    return nk.cluster_indices(w, EP_OMEGA_RTOL * max(1.0, *map(abs, w)))
-
-
-def has_frequency_cluster(omegas: np.ndarray) -> np.ndarray:
-    """Whether each row of a sorted (..., 2N) stack of finite frequencies has a `frequency_clusters`
-    group of two or more, by the same arithmetic: adjacent differences, and |w| by np.hypot like abs()."""
+def close_neighbours(omegas: np.ndarray) -> np.ndarray:
+    """(..., 2N - 1) flags: whether each adjacent pair of a sorted (..., 2N) stack of finite frequencies
+    lies closer than EP_OMEGA_RTOL * max(1, max|w|) of its row.  Runs of close neighbours are frequency
+    clusters, which share one nullspace SVD for their eigenvectors; |w| is np.hypot, which rounds like abs()."""
     d = np.diff(omegas, axis=-1)
     tol = EP_OMEGA_RTOL * np.maximum(1.0, np.hypot(omegas.real, omegas.imag).max(axis=-1))
-    return (np.hypot(d.real, d.imag) < tol[..., None]).any(axis=-1)
+    return np.hypot(d.real, d.imag) < tol[..., None]
 
 
 def simple_vectors(mass, stiffness, damping, omegas) -> np.ndarray:
@@ -269,7 +289,7 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[Eigen
     frequency cluster.  A cluster whose nullspace is smaller than its
     multiplicity (a defective pair) repeats its one vector.
     """
-    clusters = frequency_clusters(omegas)
+    clusters = [c.tolist() for c in np.split(np.arange(len(omegas)), np.flatnonzero(~close_neighbours(omegas)) + 1)]
     singles = [c[0] for c in clusters if len(c) == 1]
     right = dict(zip(singles, simple_vectors(q.mass, q.stiffness, q.damping, omegas[singles])))
     multiple = [c for c in clusters if len(c) > 1]
@@ -290,7 +310,7 @@ def _eigenpairs(q: QuadraticMatrixPolynomial, omegas: np.ndarray) -> tuple[Eigen
 def pair_gradient(spectrum: Spectrum, dcoeffs) -> np.ndarray:
     """Gradient of D+ = (wa - wb)^2 over the point coordinates, for the one PF pair.
 
-    `dcoeffs` is (dK, dG), each (P, N, N), as `QuadraticMatrixPolynomial.derivatives`
+    `dcoeffs` is (dK, dG), each (P, N, N), as `QuadraticMatrixPolynomial.derivatives()`
     returns it.  With s = wa + wb and p = wa wb, one SVD of H^2 - sH + pI gives
     the right and left invariant subspaces X, Y of the pair, which stay
     two-dimensional where the pair coalesces.  On them T = (Y^H X)^-1 Y^H H X

@@ -97,7 +97,9 @@ def builtin_relation(name: str, gamma0: float = 0.0, m0: float = 1.0) -> Symmetr
 
 
 def relation_residual(build, rel: SymmetryRelation, samples) -> float:
-    """Max Frobenius-normalized mismatch of the relation over (omega, g) samples."""
+    """Max Frobenius-normalized mismatch of the relation over a nonempty sequence of (omega, g) samples."""
+    if len(samples) == 0:
+        raise ValueError("needs at least one (omega, g) sample")
     worst = 0.0
     for omega, g in samples:
         qw = evaluate(build(np.asarray(g, dtype=float)), omega)
@@ -143,7 +145,7 @@ def velocity_block(n: int) -> tuple[int, ...]:
 
 
 def latent_residual(h_mapped, h, l, s: tuple[int, ...], n_max: int) -> float:
-    """Max over n <= n_max of the latent-symmetry defect.
+    """Max over 1 <= n <= n_max of the latent-symmetry defect; n_max < 1 raises ValueError.
 
     Checks L (h_mapped^n)_SS L^-1 = ((h^n)_SS)^dagger, each term normalized
     by the Frobenius norm of h^n.  h_mapped is the Hamiltonian at the
@@ -151,6 +153,8 @@ def latent_residual(h_mapped, h, l, s: tuple[int, ...], n_max: int) -> float:
     By Cayley-Hamilton, powers beyond the matrix dimension add nothing, but
     checking one past the bound is cheap insurance.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     a = nk.as_matrix(h_mapped)
     b = nk.as_matrix(h)
     lmat = nk.as_matrix(l)
@@ -218,7 +222,7 @@ def theorem2_crosscheck(
 
     Default omega samples sit on a circle of twice the spectral radius so
     the Neumann expansion of the reduction converges; default n_max is one
-    past the Cayley-Hamilton bound.
+    past the Cayley-Hamilton bound; n_max < 1 raises ValueError.
     """
     b = nk.as_matrix(h)
     dim = b.shape[0]

@@ -188,7 +188,7 @@ def track_bands(build, path: ParameterPath) -> TrackedBands:
     """Continue the PF bands along the path, bisecting segments adaptively.
 
     `build` takes a (3,) point to its QMP and a (P, 3) stack to its
-    `models.Table`.  The path's points (a closed path's start again at its
+    `qep.Table`.  The path's points (a closed path's start again at its
     end) are solved as one table; midpoints are solved one at a time, as the
     sequential scan needs them.  A segment is accepted once the largest
     per-band jump is below JUMP_FRACTION of the smaller endpoint band

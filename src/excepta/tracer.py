@@ -179,7 +179,7 @@ def scan_plane(build, plane: PlaneSpec, grid: tuple[int, int], window) -> list[C
 def _solve_at(build, point):
     """Spectrum at one point, from a QMP that carries its point derivatives."""
     q = build(np.asarray(point, dtype=float))
-    if q.derivatives is None:
+    if q.table.derive is None:
         raise ValueError("the builder's QMP carries no point derivatives (see models.builder)")
     return solve(q)
 

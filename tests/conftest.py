@@ -13,6 +13,22 @@ def multiset_distance(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
+def frequency_clusters(omegas) -> list[list[int]]:
+    """Index groups of sorted eigenfrequencies closer than EP_OMEGA_RTOL * max(1, max|w|), by Python's
+    abs() over tolist(): the scalar reference of `qep.close_neighbours`, one row at a time."""
+    from excepta.qep import EP_OMEGA_RTOL
+
+    w = omegas.tolist()
+    tol = EP_OMEGA_RTOL * max(1.0, *map(abs, w))
+    clusters = []
+    for i, v in enumerate(w):
+        if clusters and abs(v - w[i - 1]) < tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
 @pytest.fixture(scope="session")
 def theoretical_build():
     from excepta.models import theoretical_builder

@@ -62,6 +62,11 @@ BAD_CONFIGS = {
     "circle_center_two_entries": ("vorticity_chain_loop", lambda c: c["loop"]["circle"].update(center=[0.0, 0.0])),
     "trace_plane_bad_value": ("trace_er", lambda c: c.update(plane="kx=abc")),
     "sweep_ramp_n_string": ("sweep_experimental_chi", lambda c: c["ramp"].update(n="x")),
+    "sweep_ramp_n_zero": ("sweep_experimental_chi", lambda c: c["ramp"].update(n=0)),
+    "sweep_ramp_n_negative": ("sweep_experimental_chi", lambda c: c["ramp"].update(n=-4)),
+    "symmetry_no_samples": ("symmetry_gamma", lambda c: c.update(n_samples=0)),
+    "symmetry_negative_samples": ("symmetry_gamma", lambda c: c.update(n_samples=-3)),
+    "latent_n_max_zero": ("latent_theoretical", lambda c: c.update(n_max=0)),
     "lattice_ky_bad_string": ("lattice_bands_small", lambda c: c.update(ky="abc")),
     "chain_same_line_twice": ("chain_theoretical", lambda c: c.update(traces=[c["traces"][0]] * 2)),
     "trace_oblique_theoretical": ("trace_er", lambda c: c.update(plane="oblique")),
@@ -99,6 +104,11 @@ RANGE_ERROR_FIELDS = {
     "synth_freqs_decreasing": "freqs",
     "wavepacket_empty_slab": "slab",
     "chain_step_zero": "step",
+    "sweep_ramp_n_zero": "n",
+    "sweep_ramp_n_negative": "n",
+    "symmetry_no_samples": "n_samples",
+    "symmetry_negative_samples": "n_samples",
+    "latent_n_max_zero": "n_max",
     "lattice_trace_window_past_zone": "window",
 }
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import multiset_distance
+from conftest import frequency_clusters, multiset_distance
 from excepta import cli, lattice, models, numkernel as nk, qep, topology as topo
 
 REPO = Path(__file__).resolve().parents[1]
@@ -109,7 +109,7 @@ class TestBandSlice:
                 if (i, j) != (0, 0):
                     w = w[topo.match_bands(omegas[i, j - 1] if j > 0 else omegas[i - 1, j], w)]
                 omegas[i, j] = w
-                if len(qep.frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
+                if len(frequency_clusters(spectrum.omegas)) < len(spectrum.omegas):
                     bad.append((i, j))
         assert field.bad_cells == tuple(bad) == ((16, 15),)
         assert omegas.tobytes() == field.omegas.tobytes()

@@ -6,6 +6,7 @@ suite refers to it: as a name, an attribute, or a string that looks it up
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from excepta import cli
@@ -82,3 +83,17 @@ def test_every_public_name_has_a_user():
 
 def test_kept_names_exist():
     assert sorted(set(KEPT) - set(public_definitions())) == []
+
+
+def test_traced_targets_name_callables():
+    # bench/layers.py wraps each Target(name, module, attr) by name; a rename in src/ must fail here.
+    tree = ast.parse((REPO / "bench" / "layers.py").read_text())
+    targets = [
+        [arg.value for arg in node.args[1:3]]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Target"
+    ]
+    assert len(targets) > 10
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == [], f"bench/layers.py traces names the library lacks: {missing}"

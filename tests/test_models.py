@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,16 +34,16 @@ class TestCoefficientTables:
         for i, point in enumerate(points):
             view = build(point)
             (mass, stiffness, damping), (dk, dg) = reference(params, point)
-            stacked = (table.mass, table.stiffness[i], table.damping[i], table.dstiffness[i], table.ddamping[i])
+            stacked = (table.mass, table.stiffness[i], table.damping[i], *(d[i] for d in table.derivatives))
             viewed = (view.mass, view.stiffness, view.damping, *view.derivatives())
             assert all(same_bits(a, b) for a, b in zip(stacked, viewed))
             assert same_bits(view.mass, mass) and same_bits(view.stiffness, stiffness)
             assert same_bits(view.damping, damping)
             # The derivatives are exact; the affine models' constant rows may
             # differ from the old hand-written ones only in the sign of a zero.
-            assert np.array_equal(table.dstiffness[i], dk) and np.array_equal(table.ddamping[i], dg)
+            assert np.array_equal(table.derivatives[0][i], dk) and np.array_equal(table.derivatives[1][i], dg)
             if name == "lattice":
-                assert same_bits(table.dstiffness[i], dk)  # 0 ulp apart
+                assert same_bits(table.derivatives[0][i], dk)  # 0 ulp apart
 
     @staticmethod
     def gradients_equal_public_path(view) -> int:
@@ -101,6 +102,20 @@ class TestCoefficientTables:
             assert same_bits(qep.solve(replaced).omegas, edited_omegas)
         assert compared > len(points)
 
+    def test_views_store_only_their_table_and_row(self):
+        # All 441 views of one table, held at once, each cost at most 1,000 bytes: two ndarray views
+        # and a row index, not closures over the table (three of them cost about 1,276 bytes a view).
+        points = np.random.default_rng(43).uniform(-0.3, 0.3, (441, 3))
+        table = models.coefficients(models.TheoreticalParams(dchi=-0.05), points)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            views = [table.qmp(i) for i in range(len(points))]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(views) == 441 and held <= 1000 * len(views)
+
     @pytest.mark.parametrize("n", [2, 8, 24])
     def test_stacked_eigenvalues_equal_per_point_solves(self, n):
         rng = np.random.default_rng(37 + n)
@@ -111,11 +126,11 @@ class TestCoefficientTables:
         damping = 0.3 * rng.standard_normal((points, n, n)).astype(complex)
         stiffness[1] = damping[1] = 0.0  # an all-zero spectrum, which has no gap
         stiffness[2] = -np.abs(stiffness[2])  # negative stiffness: a gapless row
-        table = models.Table(mass, stiffness, damping, lambda: None)
+        table = qep.Table(mass, stiffness, damping, lambda: None)
         gaps = []
         for i in range(points):
             # The P = 16 table and this point's own P = 1 table take the two sides of the size selection.
-            single = models.Table(mass, stiffness[i:i + 1], damping[i:i + 1], lambda: None)
+            single = qep.Table(mass, stiffness[i:i + 1], damping[i:i + 1], lambda: None)
             reference = qep.solve(qep.QuadraticMatrixPolynomial(mass, stiffness[i], damping[i]))
             for stack, row in ((table, i), (single, 0)):
                 spectrum = qep.solve(stack.qmp(row))

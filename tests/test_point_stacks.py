@@ -2,7 +2,7 @@
 
 `track_bands` (the path's own points), `scan_plane` (its grid), the
 `arc_invariant` endpoints and `cli sweep` (its ramp) each build one
-`models.Table` and solve it with one `qep.solve` call.  The references in
+`qep.Table` and solve it with one `qep.solve` call.  The references in
 conftest are the per-point paths they replaced; every result must agree bit
 for bit, samples included, in the same order.
 """
@@ -168,7 +168,7 @@ class TestBuilderContract:
         build = make()
         points = np.random.default_rng(41).uniform(-0.3, 0.3, (12, 3))
         table = build(points)
-        assert isinstance(table, models.Table) and table.stiffness.shape == (12, 2, 2)
+        assert isinstance(table, qep.Table) and table.stiffness.shape == (12, 2, 2)
         spectra = list(qep.solve(table))  # an iterator, one Spectrum per point
         assert len(spectra) == 12
         for point, spectrum in zip(points, spectra):

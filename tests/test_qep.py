@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import multiset_distance
+from conftest import frequency_clusters, multiset_distance
 from excepta import models, qep, topology
 from excepta.numkernel import MAX_ASSIGNMENT
 from excepta.models import ExperimentalParams, TheoreticalParams, experimental_qmp, theoretical_qmp
@@ -254,6 +254,30 @@ class TestPfBands:
             assert row.tobytes() == w[np.lexsort((w.imag, w.real))].tobytes()
             assert flag is qep._pf_gap_ok(row) is qep._pf_gap_ok(w)
         assert list(flags[:2000]) == outcomes and not any(flags[2000:])
+
+
+    def test_stacked_cluster_rule_matches_the_scalar_rule(self):
+        # Neighbours placed at the tolerance, a few ulps either side, where the rules could round apart.
+        rng = np.random.default_rng(44)
+        rows, placed = [], 0
+        for _ in range(400):
+            w = 10.0 ** rng.uniform(-2, 3) * (rng.normal(size=6) + 1j * rng.normal(size=6))
+            w[0] *= 2.0 * np.abs(w).max() / abs(w[0])  # the largest |w|, which sets the tolerance
+            tol = qep.EP_OMEGA_RTOL * max(1.0, abs(w[0]))
+            for j in sorted(rng.choice(np.arange(1, 5), size=rng.integers(1, 4), replace=False).tolist()):
+                step = tol * (1.0 + rng.integers(-2, 3) * 2.0**-52)
+                if rng.random() < 0.5:  # a real step off a purely imaginary frequency: |difference| is step exactly
+                    w[j] = 1j * w[j].imag
+                else:
+                    step *= np.exp(1j * rng.uniform(-1.5, 1.5))
+                w[j + 1] = w[j] + step
+                placed += 1
+            rows.append(w[np.lexsort((w.imag, w.real))])
+        stacked = qep.close_neighbours(np.array(rows))
+        for w, close in zip(rows, stacked.tolist()):
+            scalar = [len(c) > 1 and i < len(c) - 1 for c in frequency_clusters(w) for i in range(len(c))]
+            assert close == scalar[:-1]
+        assert 0 < stacked.sum() < placed
 
 
 class TestPairGradient:

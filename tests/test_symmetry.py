@@ -24,6 +24,10 @@ class TestRelationResidual:
         res = symmetry.relation_residual(broken, symmetry.builtin_relation("gamma"), samples)
         assert res > 1e-4
 
+    def test_no_samples_raises(self, theoretical_build):
+        with pytest.raises(ValueError, match="sample"):
+            symmetry.relation_residual(theoretical_build, symmetry.builtin_relation("gamma"), [])
+
     def test_unknown_relation(self):
         with pytest.raises(KeyError):
             symmetry.builtin_relation("nope")
@@ -66,6 +70,12 @@ class TestLatentResidual:
         gm = g * np.array([1.0, 1.0, -1.0])
         res = symmetry.latent_residual(h_theoretical(gm), h_theoretical(g), SIGMA_X, velocity_block(2), 4)
         assert res < 1e-12
+
+    def test_no_power_raises(self):
+        h = h_theoretical(np.array([0.1, 0.05, 0.02]))
+        for check in (symmetry.latent_residual, symmetry.theorem2_crosscheck):
+            with pytest.raises(ValueError, match="n_max"):
+                check(h, h, SIGMA_X, velocity_block(2), n_max=0)
 
     def test_experimental_on_oblique_plane(self):
         p = models.ExperimentalParams(gamma0=0.085, dchi=-0.073)

@@ -195,11 +195,11 @@ class TestAssembleChain:
         # swap-adjoint relation: the lines leave the kappa = 0 plane but the
         # junctions persist, displaced from the high-symmetry line.
         def build(g):
-            q = models.theoretical_qmp(models.TheoreticalParams(dchi=-0.05).at(g))
+            table = models.coefficients(models.TheoreticalParams(dchi=-0.05), g)
             # The perturbation depends on gamma, so its derivative joins the model's.
-            dk, dg = q.derivatives()
+            dk, dg = table.derivatives
             dg = dg + np.multiply.outer([1.0, 0.0, 0.0], np.diag([0.1, 0.0]))
-            return replace(q, damping=q.damping + np.diag([0.1 * g[0], 0.0]), derivatives=lambda: (dk, dg))
+            return replace(table, damping=table.damping + np.diag([0.1 * g[0], 0.0]), derive=lambda: (dk, dg)).qmp(0)
 
         win = (np.array([-0.22, -0.2, -0.12]), np.array([0.22, 0.3, 0.12]))
         er = tracer.trace_el(build, (0.0, 0.049, 0.004), step=0.006, window=win, plane=tracer.plane_gamma0())
